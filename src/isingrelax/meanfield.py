@@ -8,6 +8,7 @@ cyclic; for N=3 the n+2 stencil wraps onto n-1 by plain modular arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 import math
 
 import numpy as np
@@ -15,9 +16,16 @@ from scipy.integrate import solve_ivp
 
 from .errors import IntegrationError, ModelValidityError
 
-W_SINGULARITY_TOL = 1e-12
 BOUND_SLACK = 1e-6
 DENOM_FLOOR = 1e-14
+
+# K-point Gauss-Legendre rule on [0, 1] for w(Gi, Gj) = int_0^1 exp(2 pi i s (Gi - Gj)) ds.
+# |Gi - Gj| <= 2 beta < 2, so the integrand turns through at most 4 pi and
+# K = 16 leaves a quadrature error far below double precision.
+W_QUADRATURE_ORDER = 16
+_gl_nodes, _gl_weights = np.polynomial.legendre.leggauss(W_QUADRATURE_ORDER)
+_W_PHASES = 1j * math.pi * (_gl_nodes + 1.0)    # 2 pi i s_k
+_W_WEIGHTS = 0.5 * _gl_weights
 
 
 @dataclass(frozen=True)
@@ -49,6 +57,12 @@ class MFParams:
     def __post_init__(self):
         if self.n_atoms < 2:
             raise ValueError("mean-field chain needs at least 2 atoms")
+        if not math.isfinite(self.beta) or self.beta < 0:
+            raise ValueError(f"beta must be finite and non-negative, got {self.beta}")
+        if self.theta0 is not None and not math.isfinite(self.theta0):
+            raise ValueError(f"tipping angle must be finite, got {self.theta0}")
+        if not (math.isfinite(self.horizon) and self.horizon > 0):
+            raise ValueError(f"horizon must be finite and positive, got {self.horizon}")
         if self.beta >= 1.0:
             raise ModelValidityError(
                 f"mean-field equations require beta < 1, got {self.beta}")
@@ -74,12 +88,21 @@ def initial_field(params: MFParams) -> BlochField:
     return BlochField(sigma_z=sz, sigma_plus=sp)
 
 
+@lru_cache(maxsize=64)
+def _ring(n: int) -> np.ndarray:
+    """Site indices (n + offset) mod N of the cyclic chain; rows: offsets +1, -1, +2, -2."""
+    idx = (np.arange(n) + np.array([[1], [-1], [2], [-2]])) % n
+    idx.flags.writeable = False    # shared by every caller through the cache
+    return idx
+
+
 def coupling_functions(sz: np.ndarray, beta: float) -> dict[str, np.ndarray]:
     """Gamma_n, Gamma^3_n, K_{n+-1}, E_{n+-1} from the sigma_z neighborhood (cyclic)."""
-    zp = np.roll(sz, -1)    # sigma_z at n+1
-    zm = np.roll(sz, +1)    # sigma_z at n-1
-    zpp = np.roll(sz, -2)   # n+2
-    zmm = np.roll(sz, +2)   # n-2
+    ip, im, ipp, imm = _ring(sz.size)
+    zp = sz[ip]     # sigma_z at n+1
+    zm = sz[im]     # n-1
+    zpp = sz[ipp]   # n+2
+    zmm = sz[imm]   # n-2
     b = beta
     gamma = 1.0 - b * (zp + zm)
     gamma3 = 1.0 - b * (3.0 + b * b) * (zp + zm) + 1.5 * b * b * (1.0 + 4.0 * zp * zm)
@@ -98,68 +121,56 @@ def coupling_functions(sz: np.ndarray, beta: float) -> dict[str, np.ndarray]:
 
 
 def w_factor(gamma_i, gamma_j):
-    """Fast-motion averaging weight (exp(i 2 pi dG) - 1)/(i 2 pi dG); w(x, x) = 1."""
+    """Fast-motion averaging weight int_0^1 exp(2 pi i s dG) ds = exp(i pi dG) sinc(dG)."""
     d = np.asarray(gamma_i, dtype=float) - np.asarray(gamma_j, dtype=float)
-    theta = 2.0 * math.pi * d
-    small = np.abs(d) < W_SINGULARITY_TOL
-    theta_safe = np.where(small, 1.0, theta)
-    w = (np.exp(1j * theta_safe) - 1.0) / (1j * theta_safe)
-    w = np.where(small, 1.0 + 0.0j, w)
+    w = np.exp(1j * math.pi * d) * np.sinc(d)
     return w if w.ndim else complex(w)
 
 
-def _w_matrix(gamma: np.ndarray) -> np.ndarray:
-    return np.asarray(w_factor(gamma[:, None], gamma[None, :]))
+def _w_transpose_apply(gamma: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """w.T @ v in O(N K) through the quadrature form w = E diag(c) E^H.
+
+    E[i, k] = exp(2 pi i s_k (Gamma_i - 1)); the shift by 1 cancels in w and
+    keeps the phases small.
+    """
+    e = np.exp(np.multiply.outer(gamma - 1.0, _W_PHASES))
+    return e.conj() @ (_W_WEIGHTS * (v @ e))
 
 
 def mf_rhs(field: BlochField, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """(d sigma_z/d tau, d sigma_plus/d tau) of the slow-envelope system."""
+    """(d sigma_z/d tau, d sigma_plus/d tau) of the slow-envelope system.
+
+    The long-range sums run over every site through the rank-K form of the
+    Hermitian weight w[i, j] = w_factor(Gamma_i, Gamma_j); the nearest-neighbor
+    entries come from one O(N) w_factor call.
+    """
     if beta >= 1.0:
         raise ModelValidityError(f"mean-field equations require beta < 1, got {beta}")
     sz, sp = field.sigma_z, field.sigma_plus
     sm = sp.conj()
     n = sz.size
+    ip, im = _ring(n)[:2]
     c = coupling_functions(sz, beta)
-    gamma3 = c["gamma3"]
-    w = _w_matrix(c["gamma"])   # w[i, j]
+    gamma, gamma3 = c["gamma"], c["gamma3"]
 
-    ip = np.roll(np.arange(n), -1)   # index n+1
-    im = np.roll(np.arange(n), +1)   # index n-1
-    idx = np.arange(n)
+    a = w_factor(gamma[ip], gamma)    # w[n+1, n]; w[n-1, n] = conj(a[n-1])
+    sides = ((ip, a, c["k_plus"], c["e_plus"]),
+             (im, np.conj(a[im]), c["k_minus"], c["e_minus"]))
+    n_sides = len({1 % n, -1 % n})    # distinct neighbor sites: one on the N = 2 ring
 
-    # nearest-neighbor K-weighted terms of d sigma_z
-    t_plus = (sp[ip] * sm * w[ip, idx] + sp * sm[ip] * w[idx, ip]) * c["k_plus"]
-    t_minus = (sp[im] * sm * w[im, idx] + sp * sm[im] * w[idx, im]) * c["k_minus"]
+    # u = w.T @ (Gamma^3 sigma+); w @ (Gamma^3 sigma-) is conj(u).  The sums over
+    # all sites include the self and nearest-neighbor terms, which are taken
+    # back out below: the neighbors carry K (sigma_z) and E (sigma_plus) instead.
+    u = _w_transpose_apply(gamma, gamma3 * sp)
+    near_z = -gamma3 * (sp * sm).real
+    near_p = -sz * gamma3 * sp
+    for j, w_in, k, e in sides[:n_sides]:
+        hop = sp[j] * w_in                   # sigma+_{n+-1} w[n+-1, n]
+        near_z = near_z + (k - gamma3[j]) * (hop * sm).real
+        near_p = near_p + (e - sz * gamma3[j]) * hop
 
-    # long sums over i != n, n+-1, computed as full sums minus local terms
-    g3sm = gamma3 * sm
-    g3sp = gamma3 * sp
-    full_z = sp * (w @ g3sm) + sm * (w.T @ g3sp)
-    local_z = (2.0 * gamma3 * (sp * sm)
-               + gamma3[ip] * (sp * sm[ip] * w[idx, ip] + sp[ip] * sm * w[ip, idx])
-               + gamma3[im] * (sp * sm[im] * w[idx, im] + sp[im] * sm * w[im, idx]))
-    if n == 2:
-        # n+1 and n-1 are the same site; drop the double-counted local term
-        local_z -= gamma3[ip] * (sp * sm[ip] * w[idx, ip] + sp[ip] * sm * w[ip, idx])
-    long_z = full_z - local_z
-
-    dsz = -(1.0 + 2.0 * sz) * gamma3 - np.real(t_plus + t_minus + long_z)
-
-    # sigma_plus equation
-    full_p = 2.0 * sz * (w.T @ g3sp)
-    local_p = 2.0 * sz * (gamma3 * sp
-                          + gamma3[ip] * sp[ip] * w[ip, idx]
-                          + gamma3[im] * sp[im] * w[im, idx])
-    if n == 2:
-        local_p -= 2.0 * sz * gamma3[ip] * sp[ip] * w[ip, idx]
-    dsp = (-sp * gamma3
-           + 2.0 * c["e_plus"] * sp[ip] * w[ip, idx]
-           + 2.0 * c["e_minus"] * sp[im] * w[im, idx]
-           + full_p - local_p)
-    if n == 2:
-        # single neighbor: the two nearest-neighbor transport terms coincide
-        dsz += np.real(t_minus)
-        dsp -= 2.0 * c["e_minus"] * sp[im] * w[im, idx]
+    dsz = -(1.0 + 2.0 * sz) * gamma3 - 2.0 * ((sm * u).real + near_z)
+    dsp = -sp * gamma3 + 2.0 * (sz * u + near_p)
     return dsz, dsp
 
 

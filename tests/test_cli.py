@@ -77,6 +77,16 @@ class TestLindbladCommand:
         assert run(["lindblad", "--n", 9, "--output", tmp_path / "x.csv"]) == 3
 
 
+class TestMeanfieldCommand:
+    @pytest.mark.parametrize("flag,value,code", [
+        ("--beta", "-0.5", 2), ("--beta", "nan", 2), ("--theta0", "nan", 2),
+        ("--horizon", "inf", 2), ("--horizon", "0", 2), ("--horizon", "-1", 2),
+        ("--beta", "1", 3)])
+    def test_invalid_input_exit_code(self, tmp_path, flag, value, code):
+        assert run(["meanfield", "--n", 4, flag, value,
+                    "--output", tmp_path / "x.csv"]) == code
+
+
 class TestDeterminism:
     def test_meanfield_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

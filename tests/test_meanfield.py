@@ -15,6 +15,59 @@ from isingrelax.meanfield import (BlochField, MFParams, coherent_pulse,
                                   soliton_ring, w_factor)
 
 
+def _w_matrix(gamma):
+    return np.asarray(w_factor(gamma[:, None], gamma[None, :]))
+
+
+def dense_mf_rhs(field, beta):
+    """Reference right-hand side built on the dense N x N weight matrix w."""
+    sz, sp = field.sigma_z, field.sigma_plus
+    sm = sp.conj()
+    n = sz.size
+    c = coupling_functions(sz, beta)
+    gamma3 = c["gamma3"]
+    w = _w_matrix(c["gamma"])   # w[i, j]
+
+    ip = np.roll(np.arange(n), -1)   # index n+1
+    im = np.roll(np.arange(n), +1)   # index n-1
+    idx = np.arange(n)
+
+    # nearest-neighbor K-weighted terms of d sigma_z
+    t_plus = (sp[ip] * sm * w[ip, idx] + sp * sm[ip] * w[idx, ip]) * c["k_plus"]
+    t_minus = (sp[im] * sm * w[im, idx] + sp * sm[im] * w[idx, im]) * c["k_minus"]
+
+    # long sums over i != n, n+-1, computed as full sums minus local terms
+    g3sm = gamma3 * sm
+    g3sp = gamma3 * sp
+    full_z = sp * (w @ g3sm) + sm * (w.T @ g3sp)
+    local_z = (2.0 * gamma3 * (sp * sm)
+               + gamma3[ip] * (sp * sm[ip] * w[idx, ip] + sp[ip] * sm * w[ip, idx])
+               + gamma3[im] * (sp * sm[im] * w[idx, im] + sp[im] * sm * w[im, idx]))
+    if n == 2:
+        # n+1 and n-1 are the same site; drop the double-counted local term
+        local_z -= gamma3[ip] * (sp * sm[ip] * w[idx, ip] + sp[ip] * sm * w[ip, idx])
+    long_z = full_z - local_z
+
+    dsz = -(1.0 + 2.0 * sz) * gamma3 - np.real(t_plus + t_minus + long_z)
+
+    # sigma_plus equation
+    full_p = 2.0 * sz * (w.T @ g3sp)
+    local_p = 2.0 * sz * (gamma3 * sp
+                          + gamma3[ip] * sp[ip] * w[ip, idx]
+                          + gamma3[im] * sp[im] * w[im, idx])
+    if n == 2:
+        local_p -= 2.0 * sz * gamma3[ip] * sp[ip] * w[ip, idx]
+    dsp = (-sp * gamma3
+           + 2.0 * c["e_plus"] * sp[ip] * w[ip, idx]
+           + 2.0 * c["e_minus"] * sp[im] * w[im, idx]
+           + full_p - local_p)
+    if n == 2:
+        # single neighbor: the two nearest-neighbor transport terms coincide
+        dsz += np.real(t_minus)
+        dsp -= 2.0 * c["e_minus"] * sp[im] * w[im, idx]
+    return dsz, dsp
+
+
 class TestCouplingFunctions:
     def test_gamma_at_full_inversion(self):
         for beta in (0.0, 0.3, 0.9):
@@ -65,6 +118,10 @@ class TestWFactor:
     def test_magnitude_bounded_by_one(self, gi, gj):
         assert abs(w_factor(gi, gj)) <= 1 + 1e-12
 
+    def test_keeps_imaginary_part_at_tiny_differences(self):
+        # w = 1 + i pi d + O(d^2); the first-order term must survive |d| << 1
+        assert w_factor(1.0 + 1e-9, 1.0).imag == pytest.approx(math.pi * 1e-9, rel=1e-6)
+
 
 class TestMFParams:
     def test_default_tipping_angle(self):
@@ -85,6 +142,19 @@ class TestMFParams:
 
 
 class TestRHS:
+    @pytest.mark.parametrize("n", [2, 3, 4, 8, 33, 256])
+    @pytest.mark.parametrize("beta", [0.0, 0.3, 0.7, 0.99])
+    def test_matches_dense_reference(self, n, beta):
+        rng = np.random.default_rng(1000 * n + int(100 * beta))
+        sz = rng.uniform(-0.5, 0.5, n)
+        sp = rng.uniform(0.0, 0.5, n) * np.exp(1j * rng.uniform(0.0, 2 * math.pi, n))
+        f = BlochField(sz, sp)
+        dsz, dsp = mf_rhs(f, beta)
+        ref_z, ref_p = dense_mf_rhs(f, beta)
+        scale = max(np.max(np.abs(ref_z)), np.max(np.abs(ref_p)))
+        assert np.max(np.abs(dsz - ref_z)) <= 1e-10 * scale
+        assert np.max(np.abs(dsp - ref_p)) <= 1e-10 * scale
+
     def test_zero_coherence_manifold_is_invariant(self):
         sz = np.array([0.5, 0.1, -0.3, 0.2, 0.5])
         f = BlochField(sz, np.zeros(5, dtype=complex))
