@@ -155,6 +155,8 @@ def rabi_frequency_from_populations(times: np.ndarray, p_dd: np.ndarray) -> floa
     of p_dd(t) (p ~ sin^2 oscillates at twice the Rabi frequency)."""
     times = np.asarray(times, dtype=float)
     p = np.asarray(p_dd, dtype=float)
+    if times.size < 2:
+        raise ValueError(f"FFT extraction needs at least two samples, got {times.size}")
     dt = times[1] - times[0]
     if not np.allclose(np.diff(times), dt, rtol=1e-9):
         raise ValueError("FFT extraction needs a uniform time grid")

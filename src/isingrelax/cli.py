@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -84,6 +85,13 @@ def parse_float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"bad float list {text!r}: {exc}") from exc
 
 
+def _time_grid(cfg: dict) -> np.ndarray:
+    """n_samples points on [0, horizon]; the horizon must be finite and positive."""
+    if not (math.isfinite(cfg["horizon"]) and cfg["horizon"] > 0):
+        raise ValueError(f"horizon must be finite and positive, got {cfg['horizon']}")
+    return np.linspace(0.0, cfg["horizon"], cfg["n_samples"])
+
+
 # --------------------------------------------------------------------------
 # subcommand implementations; each takes the resolved config dict
 
@@ -111,7 +119,7 @@ def cmd_lindblad(cfg: dict) -> None:
         omega = np.full((spec.n_atoms, spec.n_atoms), float(cfg["omega"]))
         np.fill_diagonal(omega, 0.0)
     params = lb.LindbladParams(spec=spec, omega_dd=omega, alpha=cfg["alpha"])
-    taus = np.linspace(0.0, cfg["horizon"], cfg["n_samples"])
+    taus = _time_grid(cfg)
     traj = lb.integrate(lb.fully_inverted(spec.n_atoms), params, taus,
                         rel_tol=cfg["rel_tol"], abs_tol=cfg["abs_tol"])
     ops = lb.build_operators(spec)
@@ -175,7 +183,7 @@ def cmd_soliton(cfg: dict) -> None:
 def cmd_cavity(cfg: dict) -> None:
     params = cv.CavityParams(n_photons=cfg["n_photons"], g=cfg["g"],
                              j_prime=cfg["jprime"])
-    times = np.linspace(0.0, cfg["horizon"], cfg["n_samples"])
+    times = _time_grid(cfg)
     with_strong = params.j_prime > 0.0
     header = ["t", "p_uu", "p_mid", "p_dd", "norm"]
     if with_strong:
@@ -203,6 +211,8 @@ def cmd_cavity(cfg: dict) -> None:
 def cmd_geometry(cfg: dict) -> None:
     with open(cfg["geometry"]) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("geometry file must hold a JSON object with positions_k0r and dipole")
     geom = geo.AtomGeometry(positions=np.asarray(data["positions_k0r"], dtype=float),
                             dipole=np.asarray(data["dipole"], dtype=float))
     rows = [(r["i"], r["j"], r["k0r"], r["cos_chi"], r["F_at_k0r"],
@@ -348,7 +358,7 @@ def main(argv=None) -> int:
     except (IntegrationError, ZeroDivisionError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
+from scipy.special import sici
 
-EULER_GAMMA = 0.5772156649015328606
-_SERIES_SWITCH = 8.0      # si/ci: power series below, continued fraction above
 _F_SERIES_SWITCH = 1e-2   # geometric factor: series branch below; the direct
                           # form loses ~eps/x^2 to cancellation at smaller x
 
@@ -98,57 +97,12 @@ def omega_matrix(geom: AtomGeometry) -> np.ndarray:
     return om
 
 
-def _si_ci_series(x: float) -> tuple[float, float]:
-    # Si(x) and Ci(x) power series; alternating, fine in double precision for x <~ 8
-    si_sum = 0.0
-    term = x
-    k = 0
-    while abs(term) > 1e-18 * max(1.0, abs(si_sum)):
-        si_sum += term / (2 * k + 1)
-        k += 1
-        term *= -x * x / ((2 * k) * (2 * k + 1))
-    ci_sum = 0.0
-    term = -x * x / 2.0
-    k = 1
-    while abs(term) > 1e-18 * max(1.0, abs(ci_sum)):
-        ci_sum += term / (2 * k)
-        k += 1
-        term *= -x * x / ((2 * k - 1) * (2 * k))
-    big_si = si_sum
-    big_ci = EULER_GAMMA + math.log(x) + ci_sum
-    return big_si - math.pi / 2.0, big_ci
-
-
-def _si_ci_cf(x: float) -> tuple[float, float]:
-    # E1(i x) by modified Lentz continued fraction; E1(ix) = -ci(x) + i si(x)
-    z = 1j * x
-    tiny = 1e-300
-    b = z + 1.0
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 10000):
-        a = -i * i
-        b += 2.0
-        d = 1.0 / (a * d + b)
-        c = b + a / c
-        delta = c * d
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    else:
-        raise RuntimeError(f"continued fraction for si/ci failed to converge at x={x}")
-    e1 = h * np.exp(-z)
-    return float(e1.imag), float(-e1.real)
-
-
 def si_ci(x: float) -> tuple[float, float]:
     """(si, ci) with si(x) = Si(x) - pi/2; both vanish as x -> infinity."""
     if x <= 0.0:
         raise ValueError(f"si/ci defined for x > 0, got {x}")
-    if x < _SERIES_SWITCH:
-        return _si_ci_series(x)
-    return _si_ci_cf(x)
+    big_si, big_ci = sici(x)
+    return float(big_si) - math.pi / 2.0, float(big_ci)
 
 
 def aux_a(x: float) -> float:

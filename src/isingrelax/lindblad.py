@@ -8,6 +8,7 @@ observables are insensitive to it because the atomic Hamiltonian is diagonal.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import math
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -29,6 +30,8 @@ class LindbladParams:
     alpha: float = 50.0                  # omega0 / gamma0
 
     def __post_init__(self):
+        if not math.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha}")
         if self.spec.beta >= 1.0:
             raise ModelValidityError(
                 f"master equation requires beta < 1 (Born-Markov), got {self.spec.beta}")
@@ -117,6 +120,8 @@ def integrate(rho0: np.ndarray, params: LindbladParams, tau_grid: np.ndarray,
     """Adaptive explicit integration sampled on tau_grid."""
     _check_rho(rho0)
     tau_grid = np.asarray(tau_grid, dtype=float)
+    if tau_grid.size < 2 or not np.all(np.isfinite(tau_grid)):
+        raise ValueError("tau_grid needs at least two finite samples")
     if np.any(np.diff(tau_grid) <= 0):
         raise ValueError("tau_grid must be strictly increasing")
     work = _Work(params)

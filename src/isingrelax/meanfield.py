@@ -18,6 +18,8 @@ from .errors import IntegrationError, ModelValidityError
 
 BOUND_SLACK = 1e-6
 DENOM_FLOOR = 1e-14
+REL_TOL, ABS_TOL = 1e-8, 1e-10      # mean-field solver tolerances
+ORDER_PARAMETER_CHUNK = 256         # sample rows per vectorised order-parameter pass
 
 # K-point Gauss-Legendre rule on [0, 1] for w(Gi, Gj) = int_0^1 exp(2 pi i s (Gi - Gj)) ds.
 # |Gi - Gj| <= 2 beta < 2, so the integrand turns through at most 4 pi and
@@ -97,12 +99,15 @@ def _ring(n: int) -> np.ndarray:
 
 
 def coupling_functions(sz: np.ndarray, beta: float) -> dict[str, np.ndarray]:
-    """Gamma_n, Gamma^3_n, K_{n+-1}, E_{n+-1} from the sigma_z neighborhood (cyclic)."""
-    ip, im, ipp, imm = _ring(sz.size)
-    zp = sz[ip]     # sigma_z at n+1
-    zm = sz[im]     # n-1
-    zpp = sz[ipp]   # n+2
-    zmm = sz[imm]   # n-2
+    """Gamma_n, Gamma^3_n, K_{n+-1}, E_{n+-1} from the sigma_z neighborhood (cyclic).
+
+    Sites run along the last axis, so sz may stack several chain states.
+    """
+    ip, im, ipp, imm = _ring(sz.shape[-1])
+    zp = sz[..., ip]     # sigma_z at n+1
+    zm = sz[..., im]     # n-1
+    zpp = sz[..., ipp]   # n+2
+    zmm = sz[..., imm]   # n-2
     b = beta
     gamma = 1.0 - b * (zp + zm)
     gamma3 = 1.0 - b * (3.0 + b * b) * (zp + zm) + 1.5 * b * b * (1.0 + 4.0 * zp * zm)
@@ -182,7 +187,6 @@ class MFTrajectory:
     gamma: np.ndarray          # relaxation rate -sum_n d sigma_z_n / d tau
     gamma_max: float = 0.0     # peak refined on the dense solution
     t_peak: float = 0.0
-    t_end: float = 0.0         # stop-event time if fired, else the horizon
     bound_violations: int = 0
     n_rhs_evals: int = 0
 
@@ -208,55 +212,55 @@ def gamma_at_half_deexcitation(traj: MFTrajectory) -> float:
     return float(traj.gamma[k] + frac * (traj.gamma[k + 1] - traj.gamma[k]))
 
 
-def integrate_mf(field0: BlochField, params: MFParams, rel_tol: float = 1e-8,
-                 abs_tol: float = 1e-10, n_samples: int = 400,
-                 stop_when_relaxed: bool = False) -> MFTrajectory:
-    """Adaptive integration to the horizon; monitors the |sigma| <= 1/2 bounds."""
+def _unpack(y: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(sigma_z, sigma_plus) from the solver state [sigma_z, Re sigma_plus, Im sigma_plus]."""
+    return y[:n], y[n:2 * n] + 1j * y[2 * n:]
+
+
+def _solve(field0: BlochField, params: MFParams, n_samples: int,
+           stop_when_relaxed: bool = False):
+    """Adaptive solve to the horizon: (solver result, sigma_z, sigma_plus samples).
+
+    The samples have shape (n_samples, N).  With stop_when_relaxed the solve
+    ends once sum sigma_z < -N/2 + 0.01 N (the end of the active window).
+    """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     n = field0.n_atoms
-    beta = params.beta
-
-    def pack(sz, sp):
-        return np.concatenate([sz, sp.real, sp.imag])
-
-    def unpack(y):
-        return y[:n], y[n:2 * n] + 1j * y[2 * n:]
 
     def rhs(_t, y):
-        sz, sp = unpack(y)
-        dsz, dsp = mf_rhs(BlochField(sz, sp), beta)
-        return pack(dsz, dsp)
+        dsz, dsp = mf_rhs(BlochField(*_unpack(y, n)), params.beta)
+        return np.concatenate([dsz, dsp.real, dsp.imag])
 
-    events = []
-    if stop_when_relaxed:
-        # active-window cutoff: stop once sum sigma_z < -N/2 + 0.01 N
-        def relaxed(_t, y):
-            return y[:n].sum() - (-0.5 * n + 0.01 * n)
-        relaxed.terminal = True
-        relaxed.direction = -1
-        events.append(relaxed)
+    def relaxed(_t, y):
+        return y[:n].sum() - (-0.5 * n + 0.01 * n)
+    relaxed.terminal = True
+    relaxed.direction = -1
 
-    t_eval = np.linspace(0.0, params.horizon, n_samples)
-    sol = solve_ivp(rhs, (0.0, params.horizon), pack(field0.sigma_z, field0.sigma_plus),
-                    t_eval=t_eval, method="RK45", rtol=rel_tol, atol=abs_tol,
-                    events=events or None, dense_output=True)
+    y0 = np.concatenate([field0.sigma_z, field0.sigma_plus.real, field0.sigma_plus.imag])
+    sol = solve_ivp(rhs, (0.0, params.horizon), y0,
+                    t_eval=np.linspace(0.0, params.horizon, n_samples),
+                    method="RK45", rtol=REL_TOL, atol=ABS_TOL,
+                    events=[relaxed] if stop_when_relaxed else None, dense_output=True)
     if not sol.success:
         raise IntegrationError(f"mean-field integration failed: {sol.message}")
-    taus = sol.t
-    szs = sol.y[:n].T.copy()
-    sps = (sol.y[n:2 * n] + 1j * sol.y[2 * n:]).T.copy()
+    szs, sps = _unpack(sol.y, n)
+    return sol, szs.T.copy(), sps.T.copy()
 
-    def gamma_at(y):
-        sz, sp = unpack(y)
-        dsz, _ = mf_rhs(BlochField(sz, sp), beta)
+
+def integrate_mf(field0: BlochField, params: MFParams, n_samples: int = 400) -> MFTrajectory:
+    """Adaptive integration to the horizon; monitors the |sigma| <= 1/2 bounds."""
+    sol, szs, sps = _solve(field0, params, n_samples)
+    taus = sol.t
+
+    def gamma_at(sz, sp):
+        dsz, _ = mf_rhs(BlochField(sz, sp), params.beta)
         return -dsz.sum()
 
-    gammas = np.empty(taus.size)
-    violations = 0
-    for k in range(taus.size):
-        gammas[k] = gamma_at(np.concatenate([szs[k], sps[k].real, sps[k].imag]))
-        if (np.max(np.abs(szs[k])) > 0.5 + BOUND_SLACK
-                or np.max(np.abs(sps[k])) > 0.5 + BOUND_SLACK):
-            violations += 1
+    gammas = np.array([gamma_at(sz, sp) for sz, sp in zip(szs, sps)])
+    limit = 0.5 + BOUND_SLACK
+    violations = int(np.count_nonzero((np.abs(szs).max(axis=1) > limit)
+                                      | (np.abs(sps).max(axis=1) > limit)))
 
     # the superradiant peak is narrower than the sample spacing for large N;
     # refine it on the dense solution around the best sample
@@ -266,17 +270,13 @@ def integrate_mf(field0: BlochField, params: MFParams, rel_tol: float = 1e-8,
     gamma_max, t_peak = gammas[k], taus[k]
     for _ in range(3):
         fine = np.linspace(lo, hi, 33)
-        vals = np.array([gamma_at(sol.sol(tt)) for tt in fine])
+        vals = np.array([gamma_at(*_unpack(sol.sol(tt), field0.n_atoms)) for tt in fine])
         j = int(np.argmax(vals))
         if vals[j] > gamma_max:
             gamma_max, t_peak = float(vals[j]), float(fine[j])
         lo, hi = fine[max(j - 1, 0)], fine[min(j + 1, fine.size - 1)]
-    t_end = params.horizon
-    if sol.t_events and sol.t_events[0].size:
-        t_end = float(sol.t_events[0][0])
     return MFTrajectory(taus=taus, sigma_z=szs, sigma_plus=sps, gamma=gammas,
                         gamma_max=float(gamma_max), t_peak=float(t_peak),
-                        t_end=t_end,
                         bound_violations=violations, n_rhs_evals=sol.nfev)
 
 
@@ -288,36 +288,33 @@ def order_parameter_run(params: MFParams, n_samples: int = 2000) -> float:
     relaxation window and a dense pass resamples just that window.
     """
     field0 = initial_field(params)
-    coarse = integrate_mf(field0, params, n_samples=200, stop_when_relaxed=True)
-    window = min(params.horizon, 1.2 * coarse.t_end)
+    coarse, _, _ = _solve(field0, params, 200, stop_when_relaxed=True)
+    t_end = coarse.t_events[0][0] if coarse.t_events[0].size else params.horizon
+    window = min(params.horizon, 1.2 * float(t_end))
     dense_params = MFParams(params.n_atoms, params.beta, theta0=params.theta0,
                             phase_seed=params.phase_seed, horizon=window)
-    traj = integrate_mf(field0, dense_params, n_samples=n_samples)
-    return order_parameter_mf(traj, params.beta)
+    dense, szs, sps = _solve(field0, dense_params, n_samples)
+    return order_parameter_mf(dense.t, szs, sps, params.beta)
 
 
-def order_parameter_mf(traj: MFTrajectory, beta: float,
-                       horizon: float | None = None) -> float:
-    """Time-averaged coherent/incoherent rate ratio of the mean-field trajectory."""
-    mask = np.ones(traj.taus.size, dtype=bool)
-    if horizon is not None:
-        mask = traj.taus <= horizon + 1e-12
-    taus, ratios = [], []
-    for k in np.nonzero(mask)[0]:
-        sz, sp = traj.sigma_z[k], traj.sigma_plus[k]
+def order_parameter_mf(taus: np.ndarray, sigma_z: np.ndarray, sigma_plus: np.ndarray,
+                       beta: float) -> float:
+    """Time-averaged coherent/incoherent rate ratio of sampled states (one row per tau)."""
+    numer, denom = np.empty(len(taus)), np.empty(len(taus))
+    for lo in range(0, len(taus), ORDER_PARAMETER_CHUNK):
+        rows = slice(lo, lo + ORDER_PARAMETER_CHUNK)
+        sz, sp = sigma_z[rows], sigma_plus[rows]
         gamma3 = coupling_functions(sz, beta)["gamma3"]
-        s_minus_tot = sp.conj().sum()
-        numer = 2.0 * np.real(np.sum(gamma3 * sp * (s_minus_tot - sp.conj())))
-        denom = float(np.sum((1.0 + 2.0 * sz) * gamma3))
-        if denom < DENOM_FLOOR:
-            continue
-        taus.append(traj.taus[k])
-        ratios.append(numer / denom)
-    if len(taus) < 2:
+        sm = sp.conj()
+        coh = gamma3 * sp * (sm.sum(axis=-1, keepdims=True) - sm)
+        numer[rows] = 2.0 * np.real(np.sum(coh, axis=-1))
+        denom[rows] = np.sum((1.0 + 2.0 * sz) * gamma3, axis=-1)
+    keep = ~(denom < DENOM_FLOOR)     # NaN rows stay in, as a NaN average
+    if np.count_nonzero(keep) < 2:
         return 0.0
-    taus = np.asarray(taus)
+    taus = np.asarray(taus)[keep]
     span = taus[-1] - taus[0]
-    return float(np.trapezoid(np.asarray(ratios), taus) / span) if span > 0 else 0.0
+    return float(np.trapezoid(numer[keep] / denom[keep], taus) / span) if span > 0 else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -481,6 +478,9 @@ def soliton_ring(n_atoms: int = 20, beta: float = 0.99, defect_site: int = 0,
     """Site-resolved incoherent relaxation of a ring seeded with one ground-state defect."""
     if beta >= 1.0:
         raise ModelValidityError(f"requires beta < 1, got {beta}")
+    if n_atoms < 2 or n_samples < 1 or not (math.isfinite(horizon) and horizon > 0):
+        raise ValueError(f"soliton ring needs n_atoms >= 2, n_samples >= 1 and a finite "
+                         f"positive horizon, got {n_atoms}, {n_samples}, {horizon}")
     if not 0 <= defect_site < n_atoms:
         raise ValueError("defect_site out of range")
     sz0 = np.full(n_atoms, 0.5)

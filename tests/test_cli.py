@@ -87,6 +87,30 @@ class TestMeanfieldCommand:
                     "--output", tmp_path / "x.csv"]) == code
 
 
+@pytest.mark.parametrize("argv", [
+    ["meanfield", "--n-samples", "0"],
+    ["soliton", "--n-samples", "0"],
+    ["soliton", "--n", "1"],
+    ["soliton", "--horizon", "inf"],
+    ["soliton", "--horizon", "nan"],
+    ["lindblad", "--n-samples", "1"],
+    ["cavity", "--n-samples", "1"],
+    ["sweep", "--n-range", "5"],
+    ["sweep", "--betas", "0.5,x"],
+    ["geometry", "--geometry", "{list_file}"],
+    ["lindblad", "--horizon", "inf"],
+    ["lindblad", "--alpha", "nan", "--horizon", "0.5"],
+])
+def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv):
+    list_file = tmp_path / "list.json"
+    list_file.write_text("[1, 2]")
+    argv = [a.format(list_file=list_file) for a in argv]
+    assert run(argv + ["--output", tmp_path / "x.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 class TestDeterminism:
     def test_meanfield_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import solve_ivp
 
+from isingrelax import meanfield
 from isingrelax.errors import ModelValidityError
-from isingrelax.meanfield import (BlochField, MFParams, coherent_pulse,
+from isingrelax.meanfield import (DENOM_FLOOR, BlochField, MFParams, coherent_pulse,
                                   collective_pulse, coupling_functions,
                                   gamma3_mean, gamma_at_half_deexcitation,
                                   initial_field, integrate_mf,
@@ -13,6 +15,53 @@ from isingrelax.meanfield import (BlochField, MFParams, coherent_pulse,
                                   longrange_scaling, mf_rhs,
                                   order_parameter_mf, order_parameter_run,
                                   soliton_ring, w_factor)
+
+
+def per_sample_order_parameter(taus, sigma_z, sigma_plus, beta):
+    """Reference order parameter evaluated one sample row at a time."""
+    kept, ratios = [], []
+    for k in range(len(taus)):
+        sz, sp = sigma_z[k], sigma_plus[k]
+        gamma3 = coupling_functions(sz, beta)["gamma3"]
+        s_minus_tot = sp.conj().sum()
+        numer = 2.0 * np.real(np.sum(gamma3 * sp * (s_minus_tot - sp.conj())))
+        denom = float(np.sum((1.0 + 2.0 * sz) * gamma3))
+        if denom < DENOM_FLOOR:
+            continue
+        kept.append(taus[k])
+        ratios.append(numer / denom)
+    if len(kept) < 2:
+        return 0.0
+    kept = np.asarray(kept)
+    span = kept[-1] - kept[0]
+    return float(np.trapezoid(np.asarray(ratios), kept) / span) if span > 0 else 0.0
+
+
+def reference_order_parameter_run(params, n_samples=2000):
+    """Reference run: an event-stopped coarse solve, then integrate_mf on the window."""
+    field0 = initial_field(params)
+    n = params.n_atoms
+
+    def rhs(_t, y):
+        dsz, dsp = mf_rhs(BlochField(y[:n], y[n:2 * n] + 1j * y[2 * n:]), params.beta)
+        return np.concatenate([dsz, dsp.real, dsp.imag])
+
+    def relaxed(_t, y):
+        return y[:n].sum() - (-0.5 * n + 0.01 * n)
+    relaxed.terminal = True
+    relaxed.direction = -1
+
+    y0 = np.concatenate([field0.sigma_z, field0.sigma_plus.real, field0.sigma_plus.imag])
+    coarse = solve_ivp(rhs, (0.0, params.horizon), y0,
+                       t_eval=np.linspace(0.0, params.horizon, 200), method="RK45",
+                       rtol=1e-8, atol=1e-10, events=[relaxed], dense_output=True)
+    t_end = params.horizon
+    if coarse.t_events[0].size:
+        t_end = float(coarse.t_events[0][0])
+    window = MFParams(n, params.beta, theta0=params.theta0, phase_seed=params.phase_seed,
+                      horizon=min(params.horizon, 1.2 * t_end))
+    traj = integrate_mf(field0, window, n_samples=n_samples)
+    return per_sample_order_parameter(traj.taus, traj.sigma_z, traj.sigma_plus, params.beta)
 
 
 def _w_matrix(gamma):
@@ -214,14 +263,52 @@ class TestTrajectories:
 
 class TestOrderParameter:
     def test_zero_for_zero_coherence_trajectory(self):
-        params = MFParams(6, 0.2, horizon=5.0)
         taus = np.linspace(0, 5, 50)
         sz = np.tile(np.linspace(0.5, -0.4, 50)[:, None], (1, 6))
-        from isingrelax.meanfield import MFTrajectory
-        traj = MFTrajectory(taus=taus, sigma_z=sz,
-                            sigma_plus=np.zeros((50, 6), dtype=complex),
-                            gamma=np.zeros(50))
-        assert order_parameter_mf(traj, 0.2) == 0.0
+        assert order_parameter_mf(taus, sz, np.zeros((50, 6), dtype=complex), 0.2) == 0.0
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 32])
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 0.9])
+    @pytest.mark.parametrize("phase_seed", [None, 7])
+    def test_run_equals_reference(self, n, beta, phase_seed):
+        # a short horizon keeps the random-phase runs clear of the mean-field
+        # blow-up that stalls some random-phase starts at large beta; 600
+        # samples span three order-parameter chunks
+        params = MFParams(n, beta, phase_seed=phase_seed,
+                          horizon=50.0 if phase_seed is None else 2.0)
+        assert order_parameter_run(params, n_samples=600) == \
+            reference_order_parameter_run(params, n_samples=600)
+
+    def test_chunked_rows_equal_per_sample_reference(self):
+        # 700 rows span three chunks, the last one partial; a few rows fall
+        # below the denominator floor and are dropped by both
+        rng = np.random.default_rng(3)
+        taus = np.sort(rng.uniform(0.0, 4.0, 700))
+        sz = rng.uniform(-0.5, 0.5, (700, 9))
+        sz[::97] = -0.5
+        sp = rng.uniform(0.0, 0.5, (700, 9)) * np.exp(1j * rng.uniform(0, 2 * math.pi, (700, 9)))
+        for beta in (0.0, 0.4, 0.9):
+            assert order_parameter_mf(taus, sz, sp, beta) == \
+                per_sample_order_parameter(taus, sz, sp, beta)
+
+    def test_run_evaluates_rhs_only_inside_the_solver(self, monkeypatch):
+        calls, nfev = [0], [0]
+        rhs, solve = meanfield.mf_rhs, meanfield.solve_ivp
+
+        def counting_rhs(*args):
+            calls[0] += 1
+            return rhs(*args)
+
+        def counting_solve(*args, **kwargs):
+            sol = solve(*args, **kwargs)
+            nfev[0] += sol.nfev
+            return sol
+
+        monkeypatch.setattr(meanfield, "mf_rhs", counting_rhs)
+        monkeypatch.setattr(meanfield, "solve_ivp", counting_solve)
+        order_parameter_run(MFParams(16, 0.5))
+        assert nfev[0] > 0
+        assert calls[0] == nfev[0]
 
     def test_increases_with_chain_length(self):
         values = [order_parameter_run(MFParams(n, 0.0, theta0=0.4))
