@@ -14,14 +14,6 @@ from isingrelax import meanfield as mf
 from isingrelax.cli import write_csv
 
 
-def crossing(ns, cs):
-    for i in range(len(ns) - 1):
-        if cs[i] < 1.0 <= cs[i + 1]:
-            frac = (1.0 - cs[i]) / (cs[i + 1] - cs[i])
-            return ns[i] + frac * (ns[i + 1] - ns[i])
-    return None
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--outdir", default="results", type=pathlib.Path)
@@ -37,7 +29,7 @@ def main():
         cs = [mf.order_parameter_run(mf.MFParams(n, beta, theta0=args.theta0))
               for n in args.n_grid]
         rows.extend((beta, n, c) for n, c in zip(args.n_grid, cs))
-        nc = crossing(args.n_grid, cs)
+        nc = mf.crossing(args.n_grid, cs)
         print(f"beta={beta}: N_c = {nc:.1f}" if nc is not None
               else f"beta={beta}: no crossing on this grid")
     out = args.outdir / "coherence_transition.csv"

@@ -27,10 +27,10 @@ class CavityParams:
     def __post_init__(self):
         if self.n_photons < 0:
             raise ValueError(f"n_photons must be non-negative, got {self.n_photons}")
-        if self.g <= 0:
-            raise ValueError(f"g must be positive, got {self.g}")
-        if self.j_prime < 0:
-            raise ValueError(f"j_prime must be non-negative, got {self.j_prime}")
+        if not (math.isfinite(self.g) and self.g > 0):
+            raise ValueError(f"g must be finite and positive, got {self.g}")
+        if not (math.isfinite(self.j_prime) and self.j_prime >= 0):
+            raise ValueError(f"j_prime must be finite and non-negative, got {self.j_prime}")
 
     @property
     def rabi_splitting(self) -> float:

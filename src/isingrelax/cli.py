@@ -121,7 +121,7 @@ def cmd_lindblad(cfg: dict) -> None:
     params = lb.LindbladParams(spec=spec, omega_dd=omega, alpha=cfg["alpha"])
     taus = _time_grid(cfg)
     traj = lb.integrate(lb.fully_inverted(spec.n_atoms), params, taus,
-                        rel_tol=cfg["rel_tol"], abs_tol=cfg["abs_tol"])
+                        rel_tol=1e-10, abs_tol=1e-14)
     ops = lb.build_operators(spec)
     header = ["tau", "sum_sz", "gamma", "gamma_coh", "gamma_incoh",
               "trace_err", "herm_err", "min_eig"]
@@ -151,10 +151,10 @@ def cmd_meanfield(cfg: dict) -> None:
 
 
 def cmd_sweep(cfg: dict) -> None:
-    n_list = parse_n_range(cfg["n_range"]) if isinstance(cfg["n_range"], str) \
-        else list(cfg["n_range"])
-    betas = parse_float_list(cfg["betas"]) if isinstance(cfg["betas"], str) \
-        else list(cfg["betas"])
+    n_list = parse_n_range(cfg["n_range"])
+    betas = parse_float_list(cfg["betas"])
+    if not betas:
+        raise ValueError(f"no beta values in {cfg['betas']!r}")
     rows = []
     for beta in betas:
         for n in n_list:
@@ -209,6 +209,8 @@ def cmd_cavity(cfg: dict) -> None:
 
 
 def cmd_geometry(cfg: dict) -> None:
+    if cfg["geometry"] is None:
+        raise ValueError("geometry needs --geometry or a 'geometry' config key")
     with open(cfg["geometry"]) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
@@ -225,22 +227,34 @@ def cmd_geometry(cfg: dict) -> None:
 # --------------------------------------------------------------------------
 # argument plumbing
 
-DEFAULTS = {
-    "spectrum": {"n": 6, "beta": 0.1, "range": "nearest_neighbor",
-                 "boundary": "cyclic"},
-    "lindblad": {"n": 2, "beta": 0.0, "alpha": 50.0, "omega": 0.0,
-                 "horizon": 5.0, "n_samples": 200,
-                 "rel_tol": 1e-10, "abs_tol": 1e-14},
-    "meanfield": {"n": 10, "beta": 0.5, "theta0": None, "phase_seed": None,
-                  "horizon": 50.0, "n_samples": 400},
-    "sweep": {"betas": "0,0.5,0.9", "n_range": "2:128", "theta0": None,
-              "phase_seed": None, "horizon": 50.0},
-    "soliton": {"n": 20, "beta": 0.99, "defect": 0, "horizon": 50.0,
-                "n_samples": 2000},
+# subcommand -> (help, {option: (type, default[, help])}); a tuple type lists
+# the allowed strings. The table builds the flags (n_samples -> --n-samples),
+# type-checks --config values and holds the defaults echoed to meta.json.
+OPTIONS = {
+    "spectrum": ("atomic Hamiltonian level structure", {
+        "n": (int, 6), "beta": (float, 0.1),
+        "range": (("nearest_neighbor", "all_pairs"), "nearest_neighbor"),
+        "boundary": (("cyclic", "open"), "cyclic")}),
+    "lindblad": ("exact density-matrix trajectory", {
+        "n": (int, 2), "beta": (float, 0.0), "alpha": (float, 50.0),
+        "omega": (float, 0.0, "uniform dipole-dipole constant Omega/gamma0 for all pairs"),
+        "horizon": (float, 5.0), "n_samples": (int, 200)}),
+    "meanfield": ("mean-field Bloch trajectory", {
+        "n": (int, 10), "beta": (float, 0.5), "theta0": (float, None),
+        "phase_seed": (int, None), "horizon": (float, 50.0), "n_samples": (int, 400)}),
+    "sweep": ("order-parameter sweep over N and beta", {
+        "betas": (str, "0,0.5,0.9", "comma-separated beta values"),
+        "n_range": (str, "2:128", "a:b (doubling) or a:b:step (arithmetic)"),
+        "theta0": (float, None), "phase_seed": (int, None), "horizon": (float, 50.0)}),
+    "soliton": ("defect-seeded ring relaxation", {
+        "n": (int, 20), "beta": (float, 0.99), "defect": (int, 0),
+        "horizon": (float, 50.0), "n_samples": (int, 2000)}),
     # default horizon covers >= 10 two-photon Rabi periods for g ~ 0.01, J' ~ 0.5
-    "cavity": {"n_photons": 0, "g": 0.01, "jprime": 0.5, "horizon": 125000.0,
-               "n_samples": 8192},
-    "geometry": {},
+    "cavity": ("two atoms in a resonant cavity", {
+        "n_photons": (int, 0), "g": (float, 0.01), "jprime": (float, 0.5),
+        "horizon": (float, 125000.0), "n_samples": (int, 8192)}),
+    "geometry": ("dipole-dipole coefficient table", {
+        "geometry": (str, None, "JSON file with positions_k0r and dipole")}),
 }
 
 HANDLERS = {
@@ -260,88 +274,50 @@ def build_parser() -> argparse.ArgumentParser:
         description="Cooperative relaxation experiments with CSV output.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command, (help_text, options) in OPTIONS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--output", required=True, help="CSV output path")
         p.add_argument("--config", default=None,
                        help="JSON file overlaying the defaults")
-
-    p = sub.add_parser("spectrum", help="atomic Hamiltonian level structure")
-    common(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--range", choices=["nearest_neighbor", "all_pairs"])
-    p.add_argument("--boundary", choices=["cyclic", "open"])
-
-    p = sub.add_parser("lindblad", help="exact density-matrix trajectory")
-    common(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--omega", type=float,
-                   help="uniform dipole-dipole constant Omega/gamma0 for all pairs")
-    p.add_argument("--horizon", type=float)
-    p.add_argument("--n-samples", dest="n_samples", type=int)
-    p.add_argument("--rel-tol", dest="rel_tol", type=float)
-    p.add_argument("--abs-tol", dest="abs_tol", type=float)
-
-    p = sub.add_parser("meanfield", help="mean-field Bloch trajectory")
-    common(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--theta0", type=float)
-    p.add_argument("--phase-seed", dest="phase_seed", type=int)
-    p.add_argument("--horizon", type=float)
-    p.add_argument("--n-samples", dest="n_samples", type=int)
-
-    p = sub.add_parser("sweep", help="order-parameter sweep over N and beta")
-    common(p)
-    p.add_argument("--betas", type=str, help="comma-separated beta values")
-    p.add_argument("--n-range", dest="n_range", type=str,
-                   help="a:b (doubling) or a:b:step (arithmetic)")
-    p.add_argument("--theta0", type=float)
-    p.add_argument("--phase-seed", dest="phase_seed", type=int)
-    p.add_argument("--horizon", type=float)
-
-    p = sub.add_parser("soliton", help="defect-seeded ring relaxation")
-    common(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--defect", type=int)
-    p.add_argument("--horizon", type=float)
-    p.add_argument("--n-samples", dest="n_samples", type=int)
-
-    p = sub.add_parser("cavity", help="two atoms in a resonant cavity")
-    common(p)
-    p.add_argument("--n-photons", dest="n_photons", type=int)
-    p.add_argument("--g", type=float)
-    p.add_argument("--jprime", type=float)
-    p.add_argument("--horizon", type=float)
-    p.add_argument("--n-samples", dest="n_samples", type=int)
-
-    p = sub.add_parser("geometry", help="dipole-dipole coefficient table")
-    common(p)
-    p.add_argument("--geometry", required=True,
-                   help="JSON file with positions_k0r and dipole")
-
+        for key, (typ, _default, *help_) in options.items():
+            choices = typ if isinstance(typ, tuple) else None
+            p.add_argument("--" + key.replace("_", "-"), dest=key,
+                           type=str if choices else typ, choices=choices,
+                           help=help_[0] if help_ else None)
     return parser
 
 
+def _type_ok(typ, default, value) -> bool:
+    """JSON ints also pass as floats, bools never pass as numbers, null only
+    where the default is None."""
+    if value is None:
+        return default is None
+    if isinstance(typ, tuple):
+        return value in typ
+    return type(value) in ((int, float) if typ is float else (typ,))
+
+
 def resolve_config(args: argparse.Namespace) -> dict:
-    cfg = dict(DEFAULTS[args.command])
+    options = OPTIONS[args.command][1]
+    cfg = {key: spec[1] for key, spec in options.items()}
     if args.config is not None:
         with open(args.config) as fh:
             overlay = json.load(fh)
+        if not isinstance(overlay, dict):
+            raise ValueError("config file must hold a JSON object")
         unknown = set(overlay) - set(cfg)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in overlay.items():
+            typ, default = options[key][:2]
+            if not _type_ok(typ, default, value):
+                want = f"one of {list(typ)}" if isinstance(typ, tuple) else typ.__name__
+                raise ValueError(f"config key {key!r} must be {want}, got {value!r}")
         cfg.update(overlay)
     for key in cfg:
-        value = getattr(args, key, None)
+        value = getattr(args, key)
         if value is not None:
             cfg[key] = value
-    if args.command == "geometry":
-        cfg["geometry"] = args.geometry
     cfg["output"] = args.output
     return cfg
 

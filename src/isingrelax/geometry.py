@@ -30,17 +30,21 @@ class AtomGeometry:
         pos = np.atleast_2d(np.asarray(self.positions, dtype=float))
         if pos.ndim != 2 or pos.shape[1] != 3:
             raise ValueError("positions must be an (N, 3) array")
+        if not np.all(np.isfinite(pos)):
+            raise ValueError("positions must be finite")
         d = np.asarray(self.dipole, dtype=float)
         if d.shape != (3,):
             raise ValueError("dipole must be a 3-vector")
         norm = np.linalg.norm(d)
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"dipole orientation must be normalized, |d| = {norm}")
-        n = pos.shape[0]
-        for i in range(n):
-            for j in range(i + 1, n):
-                if np.linalg.norm(pos[i] - pos[j]) <= 0.0:
-                    raise ValueError(f"atoms {i} and {j} coincide")
+        # a stable sort puts equal rows next to each other, lower index first,
+        # so the smallest first index gives the first coincident (i, j) pair
+        order = np.lexsort(pos.T)
+        same = np.flatnonzero(np.all(pos[order[1:]] == pos[order[:-1]], axis=1))
+        if same.size:
+            k = same[np.argmin(order[same])]
+            raise ValueError(f"atoms {order[k]} and {order[k + 1]} coincide")
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "dipole", d)
 

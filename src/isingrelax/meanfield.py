@@ -317,6 +317,16 @@ def order_parameter_mf(taus: np.ndarray, sigma_z: np.ndarray, sigma_plus: np.nda
     return float(np.trapezoid(numer[keep] / denom[keep], taus) / span) if span > 0 else 0.0
 
 
+def crossing(ns, order_parameters) -> float | None:
+    """First N at which the order parameter rises through 1, linear between grid
+    points; None when it does not cross on this grid."""
+    for i in range(len(ns) - 1):
+        lo, hi = order_parameters[i], order_parameters[i + 1]
+        if lo < 1.0 <= hi:
+            return ns[i] + (1.0 - lo) / (hi - lo) * (ns[i + 1] - ns[i])
+    return None
+
+
 # ---------------------------------------------------------------------------
 # reduced one-variable dynamics
 
@@ -476,6 +486,8 @@ class SolitonResult:
 def soliton_ring(n_atoms: int = 20, beta: float = 0.99, defect_site: int = 0,
                  horizon: float = 50.0, n_samples: int = 2000) -> SolitonResult:
     """Site-resolved incoherent relaxation of a ring seeded with one ground-state defect."""
+    if not math.isfinite(beta) or beta < 0:
+        raise ValueError(f"beta must be finite and non-negative, got {beta}")
     if beta >= 1.0:
         raise ModelValidityError(f"requires beta < 1, got {beta}")
     if n_atoms < 2 or n_samples < 1 or not (math.isfinite(horizon) and horizon > 0):

@@ -96,14 +96,6 @@ def test_04_meanfield_vs_reduced():
     report(4, ok, "; ".join(lines) + f"; {elapsed:.1f}s (<10s)")
 
 
-def _crossing(ns, cs):
-    for i in range(len(ns) - 1):
-        if cs[i] < 1.0 <= cs[i + 1]:
-            frac = (1.0 - cs[i]) / (cs[i + 1] - cs[i])
-            return ns[i] + frac * (ns[i + 1] - ns[i])
-    return None
-
-
 def test_05_order_parameter_transition():
     t0 = time.perf_counter()
     ns = [24, 32, 40, 48, 56, 64, 80]
@@ -111,7 +103,7 @@ def test_05_order_parameter_transition():
     for beta in (0.0, 0.5, 0.9):
         cs = [mf.order_parameter_run(mf.MFParams(n, beta, theta0=0.4))
               for n in ns]
-        n_c[beta] = _crossing(ns, cs)
+        n_c[beta] = mf.crossing(ns, cs)
     elapsed = time.perf_counter() - t0
     ok = n_c[0.0] is not None and elapsed < 300.0
     parts = [f"N_c(0)={n_c[0.0]:.1f}" if n_c[0.0] else "no crossing at beta=0"]

@@ -1,10 +1,15 @@
 import csv
 import json
+import pathlib
+import shlex
 
+from hypothesis import HealthCheck, given, settings, strategies as st
 import numpy as np
 import pytest
 
-from isingrelax.cli import main, parse_float_list, parse_n_range
+from isingrelax.cli import OPTIONS, build_parser, main, parse_float_list, parse_n_range
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(args):
@@ -100,15 +105,66 @@ class TestMeanfieldCommand:
     ["geometry", "--geometry", "{list_file}"],
     ["lindblad", "--horizon", "inf"],
     ["lindblad", "--alpha", "nan", "--horizon", "0.5"],
+    ["lindblad", "--config", "{list_file}"],
+    ["lindblad", "--config", "{str_n_file}"],
+    ["geometry"],
+    ["cavity", "--g", "nan"],
+    ["cavity", "--g", "inf"],
+    ["cavity", "--jprime", "nan"],
+    ["soliton", "--beta", "nan"],
+    ["soliton", "--beta", "-0.5"],
+    ["sweep", "--betas", ","],
 ])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv):
     list_file = tmp_path / "list.json"
     list_file.write_text("[1, 2]")
-    argv = [a.format(list_file=list_file) for a in argv]
+    str_n_file = tmp_path / "str_n.json"
+    str_n_file.write_text('{"n": "6"}')
+    argv = [a.format(list_file=list_file, str_n_file=str_n_file) for a in argv]
     assert run(argv + ["--output", tmp_path / "x.csv"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@st.composite
+def wrongly_typed_config(draw):
+    """(command, key, value) with a JSON value of the wrong type for that option."""
+    command = draw(st.sampled_from(sorted(OPTIONS)))
+    key = draw(st.sampled_from(sorted(OPTIONS[command][1])))
+    typ, default = OPTIONS[command][1][key][:2]
+    bad = [st.booleans(), st.lists(st.integers(), max_size=3)]
+    if default is not None:
+        bad.append(st.none())
+    if typ in (int, float):
+        bad.append(st.text(max_size=6))
+    if typ is int:
+        bad.append(st.floats(allow_nan=False, allow_infinity=False)
+                   .filter(lambda x: not x.is_integer()))
+    if isinstance(typ, tuple):
+        bad.append(st.text(max_size=20).filter(lambda x: x not in typ))
+    return command, key, draw(st.one_of(bad))
+
+
+@settings(max_examples=80, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=wrongly_typed_config())
+def test_wrongly_typed_config_value_exits_2_with_one_line(tmp_path, capsys, case):
+    command, key, value = case
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    assert run([command, "--config", cfg, "--output", tmp_path / "x.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_readme_cli_examples_parse():
+    lines = [line for line in README.read_text().splitlines()
+             if line.startswith("isingrelax ")]
+    assert len(lines) == len(OPTIONS)
+    for line in lines:
+        build_parser().parse_args(shlex.split(line)[1:])
 
 
 class TestDeterminism:

@@ -34,6 +34,23 @@ class TestGeometryContainer:
         with pytest.raises(ValueError):
             AtomGeometry(positions=[[0, 0, 0], [0, 0, 0]], dipole=[0, 0, 1])
 
+    def test_rejects_non_finite_positions(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                AtomGeometry(positions=[[0, 0, 0], [bad, 0, 0]], dipole=[0, 0, 1])
+
+    def test_names_first_coincident_pair_like_pairwise_scan(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            pos = rng.integers(0, 3, (12, 3)).astype(float)   # many repeated rows
+            first = next(((i, j) for i in range(12) for j in range(i + 1, 12)
+                          if np.array_equal(pos[i], pos[j])), None)
+            if first is None:
+                AtomGeometry(positions=pos, dipole=[0, 0, 1])
+                continue
+            with pytest.raises(ValueError, match=f"atoms {first[0]} and {first[1]} coincide"):
+                AtomGeometry(positions=pos, dipole=[0, 0, 1])
+
     def test_rejects_unnormalized_dipole(self):
         with pytest.raises(ValueError):
             AtomGeometry(positions=[[0, 0, 0], [1, 0, 0]], dipole=[0, 0, 2])

@@ -8,7 +8,7 @@ from scipy.integrate import solve_ivp
 from isingrelax import meanfield
 from isingrelax.errors import ModelValidityError
 from isingrelax.meanfield import (DENOM_FLOOR, BlochField, MFParams, coherent_pulse,
-                                  collective_pulse, coupling_functions,
+                                  collective_pulse, coupling_functions, crossing,
                                   gamma3_mean, gamma_at_half_deexcitation,
                                   initial_field, integrate_mf,
                                   longrange_polynomial, longrange_rate,
@@ -309,6 +309,11 @@ class TestOrderParameter:
         order_parameter_run(MFParams(16, 0.5))
         assert nfev[0] > 0
         assert calls[0] == nfev[0]
+
+    def test_crossing_interpolates_first_rise_through_one(self):
+        assert crossing([8, 16, 32, 64], [0.5, 0.9, 1.3, 0.7]) == pytest.approx(16 + 16 / 4)
+        assert crossing([8, 16], [1.0, 1.2]) is None       # starts at 1, never rises through
+        assert crossing([8, 16, 32], [0.2, 0.4, 0.6]) is None
 
     def test_increases_with_chain_length(self):
         values = [order_parameter_run(MFParams(n, 0.0, theta0=0.4))
