@@ -46,11 +46,14 @@ def write_csv(path: str, header: list[str], rows) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def write_meta(path: str, command: str, config: dict, extra: dict | None = None) -> None:
+def write_meta(path: str, command: str, config: dict, extra: dict | None = None,
+               diagnostics: dict | None = None) -> None:
     meta = {"command": command, "version": __version__,
             "config": {k: config[k] for k in sorted(config)}}
     if extra:
         meta["results"] = {k: extra[k] for k in sorted(extra)}
+    if diagnostics:
+        meta["diagnostics"] = diagnostics
     with open(path + ".meta.json", "w", newline="") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -147,7 +150,8 @@ def cmd_meanfield(cfg: dict) -> None:
     write_csv(cfg["output"], ["tau", "sum_sigma_z", "gamma"], rows)
     write_meta(cfg["output"], "meanfield", cfg,
                {"gamma_max": traj.gamma_max, "t_peak": traj.t_peak,
-                "bound_violations": traj.bound_violations})
+                "bound_violations": traj.bound_violations},
+               {"mf_path": traj.path, "n_rhs_evals": traj.n_rhs_evals})
 
 
 def cmd_sweep(cfg: dict) -> None:
@@ -156,14 +160,18 @@ def cmd_sweep(cfg: dict) -> None:
     if not betas:
         raise ValueError(f"no beta values in {cfg['betas']!r}")
     rows = []
+    rows_per_path = {"uniform": 0, "sites": 0}
     for beta in betas:
         for n in n_list:
             params = mf.MFParams(n_atoms=n, beta=beta, theta0=cfg["theta0"],
                                  phase_seed=cfg["phase_seed"], horizon=cfg["horizon"])
+            uniform = mf.site_uniform(mf.initial_field(params))
+            rows_per_path["uniform" if uniform else "sites"] += 1
             rows.append((beta, n, mf.order_parameter_run(params)))
     rows.sort(key=lambda r: (r[0], r[1]))
     write_csv(cfg["output"], ["beta", "n", "order_parameter"], rows)
-    write_meta(cfg["output"], "sweep", cfg, {"n_rows": len(rows)})
+    write_meta(cfg["output"], "sweep", cfg, {"n_rows": len(rows)},
+               {"rows_per_mf_path": rows_per_path})
 
 
 def cmd_soliton(cfg: dict) -> None:
@@ -213,8 +221,11 @@ def cmd_geometry(cfg: dict) -> None:
         raise ValueError("geometry needs --geometry or a 'geometry' config key")
     with open(cfg["geometry"]) as fh:
         data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError("geometry file must hold a JSON object with positions_k0r and dipole")
+    missing = [k for k in ("positions_k0r", "dipole")
+               if not isinstance(data, dict) or k not in data]
+    if missing:
+        raise ValueError(f"geometry file {cfg['geometry']} must hold a JSON object "
+                         f"with positions_k0r and dipole; missing {', '.join(missing)}")
     geom = geo.AtomGeometry(positions=np.asarray(data["positions_k0r"], dtype=float),
                             dipole=np.asarray(data["dipole"], dtype=float))
     rows = [(r["i"], r["j"], r["k0r"], r["cos_chi"], r["F_at_k0r"],

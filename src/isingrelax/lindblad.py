@@ -1,8 +1,12 @@
 """Exact reduced-density-matrix dynamics of the Ising-coupled chain.
 
 Time is dimensionless tau = gamma0 * t with gamma0 = 1.  The coherent
-commutator carries the large frequency ratio alpha = omega0/gamma0; population
-observables are insensitive to it because the atomic Hamiltonian is diagonal.
+commutator carries the large frequency ratio alpha = omega0/gamma0.  Although
+the atomic Hamiltonian is diagonal, populations do not depend on alpha only
+for chains equivalent to all-pairs coupling (all_pairs, or a cyclic chain of
+N <= 3), where the generator commutes with the total spin J^2.  On the N = 4
+nearest-neighbor ring at beta = 0.3, sum sigma_z moves by 0.148 between
+alpha = 0 and 50 over tau in [0, 5].
 """
 
 from __future__ import annotations

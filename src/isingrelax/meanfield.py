@@ -104,10 +104,11 @@ def coupling_functions(sz: np.ndarray, beta: float) -> dict[str, np.ndarray]:
     Sites run along the last axis, so sz may stack several chain states.
     """
     ip, im, ipp, imm = _ring(sz.shape[-1])
-    zp = sz[..., ip]     # sigma_z at n+1
-    zm = sz[..., im]     # n-1
-    zpp = sz[..., ipp]   # n+2
-    zmm = sz[..., imm]   # n-2
+    return _couplings(sz, sz[..., ip], sz[..., im], sz[..., ipp], sz[..., imm], beta)
+
+
+def _couplings(sz, zp, zm, zpp, zmm, beta: float) -> dict:
+    """coupling_functions from sigma_z at n and at n+1, n-1, n+2, n-2."""
     b = beta
     gamma = 1.0 - b * (zp + zm)
     gamma3 = 1.0 - b * (3.0 + b * b) * (zp + zm) + 1.5 * b * b * (1.0 + 4.0 * zp * zm)
@@ -179,6 +180,36 @@ def mf_rhs(field: BlochField, beta: float) -> tuple[np.ndarray, np.ndarray]:
     return dsz, dsp
 
 
+def site_uniform(field: BlochField) -> bool:
+    """True when every site holds the same sigma_z and the same sigma_plus.
+
+    mf_rhs is translation-invariant on the ring, so such a field stays uniform.
+    """
+    sz, sp = field.sigma_z, field.sigma_plus
+    return bool(np.all(sz == sz[0]) and np.all(sp == sp[0]))
+
+
+def uniform_mf_rhs(s, x, n_atoms: int, beta: float):
+    """mf_rhs of a site-uniform chain (every sigma_z = s, every sigma_plus = x), per site.
+
+    The coupling functions are those of a ring whose every neighbor holds s.
+    On a uniform field w = 1, so the long-range sum is u = N Gamma^3 x, and
+    the neighbor sides coincide (one distinct side on the N = 2 ring).  s and
+    x are scalars or arrays of states.
+    """
+    if beta >= 1.0:
+        raise ModelValidityError(f"mean-field equations require beta < 1, got {beta}")
+    c = _couplings(s, s, s, s, s, beta)
+    gamma3, k, e = c["gamma3"], c["k_plus"], c["e_plus"]
+    n_sides = len({1 % n_atoms, -1 % n_atoms})
+    u = n_atoms * gamma3 * x
+    near_z = (n_sides * (k - gamma3) - gamma3) * (x * x.conjugate()).real
+    near_p = (n_sides * (e - s * gamma3) - s * gamma3) * x
+    ds = -(1.0 + 2.0 * s) * gamma3 - 2.0 * ((x.conjugate() * u).real + near_z)
+    dx = -x * gamma3 + 2.0 * (s * u + near_p)
+    return ds, dx
+
+
 @dataclass
 class MFTrajectory:
     taus: np.ndarray
@@ -189,6 +220,7 @@ class MFTrajectory:
     t_peak: float = 0.0
     bound_violations: int = 0
     n_rhs_evals: int = 0
+    path: str = "sites"        # "uniform" when the site-uniform system was solved
 
     @property
     def sum_sz(self) -> np.ndarray:
@@ -217,47 +249,66 @@ def _unpack(y: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return y[:n], y[n:2 * n] + 1j * y[2 * n:]
 
 
-def _solve(field0: BlochField, params: MFParams, n_samples: int,
+def _solve(field0: BlochField, params: MFParams, n_samples: int, uniform: bool,
            stop_when_relaxed: bool = False):
     """Adaptive solve to the horizon: (solver result, sigma_z, sigma_plus samples).
 
-    The samples have shape (n_samples, N).  With stop_when_relaxed the solve
-    ends once sum sigma_z < -N/2 + 0.01 N (the end of the active window).
+    The state is [sigma_z, Re sigma_plus, Im sigma_plus] over m sites: all N,
+    or with uniform the first site alone (m = 1), which stands for every site.
+    Each site contributes the same three components, so RK45's RMS error norm,
+    and with it the step sequence, is that of the N-site system.  The samples
+    have shape (n_samples, m).  With stop_when_relaxed the solve ends once
+    sum sigma_z < -N/2 + 0.01 N (the end of the active window).
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     n = field0.n_atoms
+    m = 1 if uniform else n
 
-    def rhs(_t, y):
-        dsz, dsp = mf_rhs(BlochField(*_unpack(y, n)), params.beta)
-        return np.concatenate([dsz, dsp.real, dsp.imag])
+    if uniform:
+        def rhs(_t, y):
+            ds, dx = uniform_mf_rhs(float(y[0]), complex(y[1], y[2]), n, params.beta)
+            return np.array([ds, dx.real, dx.imag])
+    else:
+        def rhs(_t, y):
+            dsz, dsp = mf_rhs(BlochField(*_unpack(y, n)), params.beta)
+            return np.concatenate([dsz, dsp.real, dsp.imag])
 
     def relaxed(_t, y):
-        return y[:n].sum() - (-0.5 * n + 0.01 * n)
+        return (n // m) * y[:m].sum() - (-0.5 * n + 0.01 * n)
     relaxed.terminal = True
     relaxed.direction = -1
 
-    y0 = np.concatenate([field0.sigma_z, field0.sigma_plus.real, field0.sigma_plus.imag])
+    y0 = np.concatenate([field0.sigma_z[:m], field0.sigma_plus[:m].real,
+                         field0.sigma_plus[:m].imag])
     sol = solve_ivp(rhs, (0.0, params.horizon), y0,
                     t_eval=np.linspace(0.0, params.horizon, n_samples),
                     method="RK45", rtol=REL_TOL, atol=ABS_TOL,
                     events=[relaxed] if stop_when_relaxed else None, dense_output=True)
     if not sol.success:
         raise IntegrationError(f"mean-field integration failed: {sol.message}")
-    szs, sps = _unpack(sol.y, n)
+    szs, sps = _unpack(sol.y, m)
     return sol, szs.T.copy(), sps.T.copy()
 
 
+def _rates(y: np.ndarray, n: int, beta: float, uniform: bool) -> np.ndarray:
+    """gamma = -sum_n d sigma_z_n / d tau of each solver state (columns of y)."""
+    if uniform:
+        return -n * uniform_mf_rhs(y[0], y[1] + 1j * y[2], n, beta)[0]
+    return np.array([-mf_rhs(BlochField(*_unpack(col, n)), beta)[0].sum() for col in y.T])
+
+
 def integrate_mf(field0: BlochField, params: MFParams, n_samples: int = 400) -> MFTrajectory:
-    """Adaptive integration to the horizon; monitors the |sigma| <= 1/2 bounds."""
-    sol, szs, sps = _solve(field0, params, n_samples)
+    """Adaptive integration to the horizon; monitors the |sigma| <= 1/2 bounds.
+
+    A site-uniform start is solved as one site (uniform_mf_rhs), any other
+    start over all N sites (mf_rhs).
+    """
+    n = field0.n_atoms
+    uniform = site_uniform(field0)
+    sol, szs, sps = _solve(field0, params, n_samples, uniform)
     taus = sol.t
-
-    def gamma_at(sz, sp):
-        dsz, _ = mf_rhs(BlochField(sz, sp), params.beta)
-        return -dsz.sum()
-
-    gammas = np.array([gamma_at(sz, sp) for sz, sp in zip(szs, sps)])
+    gammas = _rates(sol.y, n, params.beta, uniform)
     limit = 0.5 + BOUND_SLACK
     violations = int(np.count_nonzero((np.abs(szs).max(axis=1) > limit)
                                       | (np.abs(sps).max(axis=1) > limit)))
@@ -270,14 +321,18 @@ def integrate_mf(field0: BlochField, params: MFParams, n_samples: int = 400) -> 
     gamma_max, t_peak = gammas[k], taus[k]
     for _ in range(3):
         fine = np.linspace(lo, hi, 33)
-        vals = np.array([gamma_at(*_unpack(sol.sol(tt), field0.n_atoms)) for tt in fine])
+        vals = _rates(np.column_stack([sol.sol(tt) for tt in fine]), n, params.beta, uniform)
         j = int(np.argmax(vals))
         if vals[j] > gamma_max:
             gamma_max, t_peak = float(vals[j]), float(fine[j])
         lo, hi = fine[max(j - 1, 0)], fine[min(j + 1, fine.size - 1)]
-    return MFTrajectory(taus=taus, sigma_z=szs, sigma_plus=sps, gamma=gammas,
+    # (n_samples, N) views: a uniform run stores one column, not N copies
+    shape = (taus.size, n)
+    return MFTrajectory(taus=taus, sigma_z=np.broadcast_to(szs, shape),
+                        sigma_plus=np.broadcast_to(sps, shape), gamma=gammas,
                         gamma_max=float(gamma_max), t_peak=float(t_peak),
-                        bound_violations=violations, n_rhs_evals=sol.nfev)
+                        bound_violations=violations, n_rhs_evals=sol.nfev,
+                        path="uniform" if uniform else "sites")
 
 
 def order_parameter_run(params: MFParams, n_samples: int = 2000) -> float:
@@ -285,15 +340,20 @@ def order_parameter_run(params: MFParams, n_samples: int = 2000) -> float:
 
     The emission burst narrows like 1/N, so a fixed grid over the full horizon
     misses it for large chains; a coarse pass locates the end of the active
-    relaxation window and a dense pass resamples just that window.
+    relaxation window and a dense pass resamples just that window.  A
+    site-uniform start takes the one-site system and the closed-form ratio.
     """
     field0 = initial_field(params)
-    coarse, _, _ = _solve(field0, params, 200, stop_when_relaxed=True)
+    uniform = site_uniform(field0)
+    coarse, _, _ = _solve(field0, params, 200, uniform, stop_when_relaxed=True)
     t_end = coarse.t_events[0][0] if coarse.t_events[0].size else params.horizon
     window = min(params.horizon, 1.2 * float(t_end))
     dense_params = MFParams(params.n_atoms, params.beta, theta0=params.theta0,
                             phase_seed=params.phase_seed, horizon=window)
-    dense, szs, sps = _solve(field0, dense_params, n_samples)
+    dense, szs, sps = _solve(field0, dense_params, n_samples, uniform)
+    if uniform:
+        return _uniform_order_parameter(dense.t, szs[:, 0], sps[:, 0],
+                                        params.n_atoms, params.beta)
     return order_parameter_mf(dense.t, szs, sps, params.beta)
 
 
@@ -310,11 +370,25 @@ def order_parameter_mf(taus: np.ndarray, sigma_z: np.ndarray, sigma_plus: np.nda
         numer[rows] = 2.0 * np.real(np.sum(coh, axis=-1))
         denom[rows] = np.sum((1.0 + 2.0 * sz) * gamma3, axis=-1)
     keep = ~(denom < DENOM_FLOOR)     # NaN rows stay in, as a NaN average
+    return _time_average(taus, keep, numer[keep] / denom[keep])
+
+
+def _uniform_order_parameter(taus: np.ndarray, s: np.ndarray, x: np.ndarray,
+                             n_atoms: int, beta: float) -> float:
+    """order_parameter_mf of site-uniform samples: the ratio is 2 (N-1) |x|^2 / (1 + 2 s)."""
+    denom = n_atoms * (1.0 + 2.0 * s) * _couplings(s, s, s, s, s, beta)["gamma3"]
+    keep = ~(denom < DENOM_FLOOR)     # the same floor on the same N-site denominator
+    return _time_average(taus, keep,
+                         2.0 * (n_atoms - 1) * np.abs(x[keep]) ** 2 / (1.0 + 2.0 * s[keep]))
+
+
+def _time_average(taus: np.ndarray, keep: np.ndarray, ratio: np.ndarray) -> float:
+    """Trapezoid mean of ratio over the kept sample times; 0 with fewer than two."""
     if np.count_nonzero(keep) < 2:
         return 0.0
     taus = np.asarray(taus)[keep]
     span = taus[-1] - taus[0]
-    return float(np.trapezoid(numer[keep] / denom[keep], taus) / span) if span > 0 else 0.0
+    return float(np.trapezoid(ratio, taus) / span) if span > 0 else 0.0
 
 
 def crossing(ns, order_parameters) -> float | None:
@@ -412,42 +486,22 @@ def longrange_polynomial(beta: float, n_atoms: int, s):
 
 @dataclass
 class LongRangeResult:
-    times: np.ndarray
-    sz: np.ndarray
-    gamma: np.ndarray
-    gamma_max: float
     peak_estimate: float     # gamma evaluated at the sigma_z = 0 crossing
     monotone: bool           # False when the polynomial drives re-excitation
 
 
-def longrange_rate(beta: float, n_atoms: int, coherent: bool = False,
-                   horizon: float = 20.0, n_samples: int = 2000) -> LongRangeResult:
-    """All-pairs reduced dynamics; gamma(t) = -N d sigma_z/dt.
+def longrange_rate(beta: float, n_atoms: int, coherent: bool = False) -> LongRangeResult:
+    """All-pairs reduced dynamics, where gamma(t) = -N d sigma_z/dt, at its peak.
 
-    Outside the polynomial's convergence window (large beta*(N-1)) the
-    trajectory is not a decay; the peak is then reported from the analytic
-    sigma_z = 0 value, where the rate maximum sits.
+    The rate maximum sits at sigma_z = 0, so the peak is the analytic value
+    there.  Outside the polynomial's convergence window (large beta*(N-1)) the
+    trajectory is not a decay: d sigma_z/dt, a positive shape factor times
+    -polynomial, is >= 0 at full inversion.
     """
     nn = float(n_atoms)
     peak = (1.5 * nn * nn if coherent else nn) * longrange_polynomial(beta, n_atoms, 0.0)
-    prefactor = nn if coherent else 1.0
-
-    def deriv(v):
-        shape = (1.5 - 2.0 * v * v) if coherent else (1.0 + 2.0 * v)
-        return -prefactor * shape * longrange_polynomial(beta, n_atoms, v)
-
-    monotone = deriv(0.5) < 0.0
-    if monotone:
-        t, s = _integrate_scalar(deriv, horizon, n_samples)
-        gamma = np.array([-nn * deriv(v) for v in s])
-        gamma_max = float(np.max(gamma))
-    else:
-        t = np.array([0.0])
-        s = np.array([0.5])
-        gamma = np.array([-nn * deriv(0.5)])
-        gamma_max = peak
-    return LongRangeResult(times=t, sz=s, gamma=gamma, gamma_max=gamma_max,
-                           peak_estimate=peak, monotone=monotone)
+    return LongRangeResult(peak_estimate=peak,
+                           monotone=longrange_polynomial(beta, n_atoms, 0.5) > 0.0)
 
 
 @dataclass(frozen=True)

@@ -114,13 +114,17 @@ class TestMeanfieldCommand:
     ["soliton", "--beta", "nan"],
     ["soliton", "--beta", "-0.5"],
     ["sweep", "--betas", ","],
+    ["geometry", "--geometry", "{dipole_only_file}"],
 ])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv):
     list_file = tmp_path / "list.json"
     list_file.write_text("[1, 2]")
     str_n_file = tmp_path / "str_n.json"
     str_n_file.write_text('{"n": "6"}')
-    argv = [a.format(list_file=list_file, str_n_file=str_n_file) for a in argv]
+    dipole_only_file = tmp_path / "dipole_only.json"
+    dipole_only_file.write_text('{"dipole": [0, 0, 1]}')
+    argv = [a.format(list_file=list_file, str_n_file=str_n_file,
+                     dipole_only_file=dipole_only_file) for a in argv]
     assert run(argv + ["--output", tmp_path / "x.csv"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -165,6 +169,40 @@ def test_readme_cli_examples_parse():
     assert len(lines) == len(OPTIONS)
     for line in lines:
         build_parser().parse_args(shlex.split(line)[1:])
+
+
+def test_geometry_missing_key_names_file_and_key(tmp_path, capsys):
+    atoms = tmp_path / "atoms.json"
+    atoms.write_text('{"dipole": [0, 0, 1]}')
+    assert run(["geometry", "--geometry", atoms, "--output", tmp_path / "x.csv"]) == 2
+    err = capsys.readouterr().err
+    assert str(atoms) in err and "missing positions_k0r" in err
+
+
+class TestDiagnostics:
+    def meta(self, out):
+        return json.loads(pathlib.Path(str(out) + ".meta.json").read_text())
+
+    @pytest.mark.parametrize("extra,path", [([], "uniform"),
+                                            (["--phase-seed", "3"], "sites")])
+    def test_meanfield_reports_path_and_rhs_evals(self, tmp_path, extra, path):
+        out = tmp_path / "mf.csv"
+        assert run(["meanfield", "--n", 6, "--horizon", 2, "--n-samples", 20,
+                    "--output", out] + extra) == 0
+        diagnostics = self.meta(out)["diagnostics"]
+        assert diagnostics["mf_path"] == path
+        assert diagnostics["n_rhs_evals"] > 0
+
+    def test_sweep_counts_rows_per_path(self, tmp_path):
+        out = tmp_path / "sw.csv"
+        assert run(["sweep", "--betas", "0,0.5", "--n-range", "4:8",
+                    "--output", out]) == 0
+        assert self.meta(out)["diagnostics"] == {"rows_per_mf_path": {"uniform": 4,
+                                                                      "sites": 0}}
+        assert run(["sweep", "--betas", "0.5", "--n-range", "4:8", "--phase-seed", 2,
+                    "--horizon", 1, "--output", out]) == 0
+        assert self.meta(out)["diagnostics"] == {"rows_per_mf_path": {"uniform": 0,
+                                                                      "sites": 2}}
 
 
 class TestDeterminism:

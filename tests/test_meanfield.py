@@ -14,7 +14,8 @@ from isingrelax.meanfield import (DENOM_FLOOR, BlochField, MFParams, coherent_pu
                                   longrange_polynomial, longrange_rate,
                                   longrange_scaling, mf_rhs,
                                   order_parameter_mf, order_parameter_run,
-                                  soliton_ring, w_factor)
+                                  site_uniform, soliton_ring, uniform_mf_rhs,
+                                  w_factor)
 
 
 def per_sample_order_parameter(taus, sigma_z, sigma_plus, beta):
@@ -37,13 +38,12 @@ def per_sample_order_parameter(taus, sigma_z, sigma_plus, beta):
     return float(np.trapezoid(np.asarray(ratios), kept) / span) if span > 0 else 0.0
 
 
-def reference_order_parameter_run(params, n_samples=2000):
-    """Reference run: an event-stopped coarse solve, then integrate_mf on the window."""
-    field0 = initial_field(params)
-    n = params.n_atoms
+def site_solve(field0, beta, horizon, n_samples, stop_when_relaxed=False):
+    """Reference N-site solve with mf_rhs at the library's solver settings."""
+    n = field0.n_atoms
 
     def rhs(_t, y):
-        dsz, dsp = mf_rhs(BlochField(y[:n], y[n:2 * n] + 1j * y[2 * n:]), params.beta)
+        dsz, dsp = mf_rhs(BlochField(y[:n], y[n:2 * n] + 1j * y[2 * n:]), beta)
         return np.concatenate([dsz, dsp.real, dsp.imag])
 
     def relaxed(_t, y):
@@ -52,16 +52,37 @@ def reference_order_parameter_run(params, n_samples=2000):
     relaxed.direction = -1
 
     y0 = np.concatenate([field0.sigma_z, field0.sigma_plus.real, field0.sigma_plus.imag])
-    coarse = solve_ivp(rhs, (0.0, params.horizon), y0,
-                       t_eval=np.linspace(0.0, params.horizon, 200), method="RK45",
-                       rtol=1e-8, atol=1e-10, events=[relaxed], dense_output=True)
+    return solve_ivp(rhs, (0.0, horizon), y0, t_eval=np.linspace(0.0, horizon, n_samples),
+                     method="RK45", rtol=1e-8, atol=1e-10,
+                     events=[relaxed] if stop_when_relaxed else None, dense_output=True)
+
+
+def reference_order_parameter_run(params, n_samples=2000):
+    """Reference run on the N-site system: an event-stopped coarse solve, then
+    a dense solve over the window, evaluated one sample row at a time."""
+    field0 = initial_field(params)
+    n = params.n_atoms
+    coarse = site_solve(field0, params.beta, params.horizon, 200, stop_when_relaxed=True)
     t_end = params.horizon
     if coarse.t_events[0].size:
         t_end = float(coarse.t_events[0][0])
-    window = MFParams(n, params.beta, theta0=params.theta0, phase_seed=params.phase_seed,
-                      horizon=min(params.horizon, 1.2 * t_end))
-    traj = integrate_mf(field0, window, n_samples=n_samples)
-    return per_sample_order_parameter(traj.taus, traj.sigma_z, traj.sigma_plus, params.beta)
+    dense = site_solve(field0, params.beta, min(params.horizon, 1.2 * t_end), n_samples)
+    y = dense.y
+    return per_sample_order_parameter(dense.t, y[:n].T, (y[n:2 * n] + 1j * y[2 * n:]).T,
+                                      params.beta)
+
+
+def site_path_trajectory(monkeypatch, field0, params, n_samples):
+    """integrate_mf forced onto the N-site path (mf_rhs over every site)."""
+    with monkeypatch.context() as m:
+        m.setattr(meanfield, "site_uniform", lambda _field: False)
+        return integrate_mf(field0, params, n_samples=n_samples)
+
+
+def rel_diff(got, want):
+    """max |got - want| over max |want|."""
+    got, want = np.asarray(got), np.asarray(want)
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
 
 
 def _w_matrix(gamma):
@@ -273,11 +294,17 @@ class TestOrderParameter:
     def test_run_equals_reference(self, n, beta, phase_seed):
         # a short horizon keeps the random-phase runs clear of the mean-field
         # blow-up that stalls some random-phase starts at large beta; 600
-        # samples span three order-parameter chunks
+        # samples span three order-parameter chunks.  Zero-phase starts take
+        # the site-uniform path, whose arithmetic differs from the N-site
+        # reference by rounding only.
         params = MFParams(n, beta, phase_seed=phase_seed,
                           horizon=50.0 if phase_seed is None else 2.0)
-        assert order_parameter_run(params, n_samples=600) == \
-            reference_order_parameter_run(params, n_samples=600)
+        got = order_parameter_run(params, n_samples=600)
+        want = reference_order_parameter_run(params, n_samples=600)
+        if phase_seed is None:
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        else:
+            assert got == want
 
     def test_chunked_rows_equal_per_sample_reference(self):
         # 700 rows span three chunks, the last one partial; a few rows fall
@@ -292,23 +319,36 @@ class TestOrderParameter:
                 per_sample_order_parameter(taus, sz, sp, beta)
 
     def test_run_evaluates_rhs_only_inside_the_solver(self, monkeypatch):
-        calls, nfev = [0], [0]
-        rhs, solve = meanfield.mf_rhs, meanfield.solve_ivp
+        calls = {"mf_rhs": 0, "uniform_mf_rhs": 0}
+        nfev = [0]
+        solve = meanfield.solve_ivp
 
-        def counting_rhs(*args):
-            calls[0] += 1
-            return rhs(*args)
+        def counting(name):
+            rhs = getattr(meanfield, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return rhs(*args)
+            return counted
 
         def counting_solve(*args, **kwargs):
             sol = solve(*args, **kwargs)
             nfev[0] += sol.nfev
             return sol
 
-        monkeypatch.setattr(meanfield, "mf_rhs", counting_rhs)
+        for name in calls:
+            monkeypatch.setattr(meanfield, name, counting(name))
         monkeypatch.setattr(meanfield, "solve_ivp", counting_solve)
+        # a random-phase start runs the N-site right-hand side ...
+        order_parameter_run(MFParams(16, 0.5, phase_seed=7, horizon=2.0))
+        assert nfev[0] > 0
+        assert calls == {"mf_rhs": nfev[0], "uniform_mf_rhs": 0}
+        # ... and a zero-phase start only the site-uniform one
+        calls.update(mf_rhs=0, uniform_mf_rhs=0)
+        nfev[0] = 0
         order_parameter_run(MFParams(16, 0.5))
         assert nfev[0] > 0
-        assert calls[0] == nfev[0]
+        assert calls == {"mf_rhs": 0, "uniform_mf_rhs": nfev[0]}
 
     def test_crossing_interpolates_first_rise_through_one(self):
         assert crossing([8, 16, 32, 64], [0.5, 0.9, 1.3, 0.7]) == pytest.approx(16 + 16 / 4)
@@ -319,6 +359,91 @@ class TestOrderParameter:
         values = [order_parameter_run(MFParams(n, 0.0, theta0=0.4))
                   for n in (4, 8, 16, 32, 64)]
         assert all(a < b for a, b in zip(values, values[1:]))
+
+
+UNIFORM_NS = [2, 3, 4, 5, 8, 256]
+UNIFORM_BETAS = [0.0, 0.3, 0.5, 0.9]
+
+
+def uniform_horizon(n):
+    # past the burst: it narrows like 1/N
+    return 8.0 if n <= 8 else 0.12
+
+
+class TestUniformPath:
+    """The site-uniform path against the kept N-site path as oracle."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 33])
+    @pytest.mark.parametrize("beta", [0.0, 0.3, 0.7, 0.99])
+    def test_rhs_matches_site_rhs(self, n, beta):
+        rng = np.random.default_rng(n)
+        for s, x in zip(rng.uniform(-0.5, 0.5, 5),
+                        rng.uniform(0.0, 0.5, 5) * np.exp(2j * math.pi * rng.uniform(size=5))):
+            dsz, dsp = mf_rhs(BlochField(np.full(n, s), np.full(n, x)), beta)
+            ds, dx = uniform_mf_rhs(s, x, n, beta)
+            assert np.max(np.abs(dsz - ds)) <= 1e-13 * max(np.max(np.abs(dsz)), 1.0)
+            assert np.max(np.abs(dsp - dx)) <= 1e-13 * max(np.max(np.abs(dsp)), 1.0)
+
+    @pytest.mark.parametrize("n", UNIFORM_NS)
+    @pytest.mark.parametrize("beta", UNIFORM_BETAS)
+    def test_trajectory_matches_site_path(self, monkeypatch, n, beta):
+        params = MFParams(n, beta, horizon=uniform_horizon(n))
+        field0 = initial_field(params)
+        got = integrate_mf(field0, params, n_samples=200)
+        want = site_path_trajectory(monkeypatch, field0, params, 200)
+        assert (got.path, want.path) == ("uniform", "sites")
+        assert got.sigma_z.shape == got.sigma_plus.shape == (200, n)
+        assert got.n_rhs_evals == want.n_rhs_evals
+        assert np.array_equal(got.taus, want.taus)
+        assert rel_diff(got.sum_sz, want.sum_sz) <= 1e-12
+        assert rel_diff(got.sigma_plus, want.sigma_plus) <= 1e-12
+        assert rel_diff(got.gamma, want.gamma) <= 1e-12
+        assert got.gamma_max == pytest.approx(want.gamma_max, rel=1e-12, abs=0.0)
+        assert got.t_peak == pytest.approx(want.t_peak, rel=1e-12, abs=0.0)
+        assert got.bound_violations == want.bound_violations
+
+    @pytest.mark.parametrize("n", UNIFORM_NS)
+    @pytest.mark.parametrize("beta", UNIFORM_BETAS)
+    def test_order_parameter_matches_site_oracle(self, n, beta):
+        params = MFParams(n, beta)
+        got = order_parameter_run(params, n_samples=600)
+        want = reference_order_parameter_run(params, n_samples=600)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_custom_uniform_start_with_global_phase(self, monkeypatch):
+        params = MFParams(6, 0.5, horizon=8.0)
+        field0 = BlochField(np.full(6, 0.4), np.full(6, 0.3 * np.exp(2.1j)))
+        assert site_uniform(field0)
+        got = integrate_mf(field0, params, n_samples=200)
+        want = site_path_trajectory(monkeypatch, field0, params, 200)
+        assert got.path == "uniform"
+        assert rel_diff(got.sum_sz, want.sum_sz) <= 1e-12
+        assert rel_diff(got.sigma_plus, want.sigma_plus) <= 1e-12
+        assert rel_diff(got.gamma, want.gamma) <= 1e-12
+        assert got.gamma_max == pytest.approx(want.gamma_max, rel=1e-12, abs=0.0)
+
+    def test_perturbed_start_takes_site_path(self, monkeypatch):
+        params = MFParams(6, 0.5, horizon=2.0)
+        field0 = initial_field(params)
+        sz = field0.sigma_z.copy()
+        sz[3] += 1e-12
+        perturbed = BlochField(sz, field0.sigma_plus)
+        assert not site_uniform(perturbed)
+        calls = [0]
+        rhs = meanfield.mf_rhs
+
+        def counting_rhs(*args):
+            calls[0] += 1
+            return rhs(*args)
+
+        monkeypatch.setattr(meanfield, "mf_rhs", counting_rhs)
+        traj = integrate_mf(perturbed, params, n_samples=50)
+        assert traj.path == "sites" and calls[0] > traj.n_rhs_evals
+
+    def test_uniform_arrays_are_views_not_copies(self):
+        params = MFParams(1024, 0.5, horizon=0.05)
+        traj = integrate_mf(initial_field(params), params, n_samples=20)
+        assert traj.sigma_z.strides[1] == 0 and traj.sigma_plus.strides[1] == 0
 
 
 class TestReducedPulses:
@@ -356,6 +481,17 @@ class TestReducedPulses:
 class TestLongRange:
     def test_polynomial_reduces_at_beta_zero(self):
         assert longrange_polynomial(0.0, 50, 0.3) == pytest.approx(1.0)
+
+    def test_monotone_flags_decay_at_full_inversion(self):
+        # the rate's sign at s = 1/2: d s/dt = -prefactor * shape * polynomial
+        for beta in (0.0, 0.05, 0.3, 0.5):
+            for n in (2, 5, 20, 80):
+                for coherent in (False, True):
+                    prefactor, shape = (n, 1.0) if coherent else (1.0, 2.0)
+                    want = -prefactor * shape * longrange_polynomial(beta, n, 0.5) < 0.0
+                    assert longrange_rate(beta, n, coherent=coherent).monotone == want
+        assert longrange_rate(0.0, 40).monotone
+        assert not longrange_rate(0.5, 40).monotone
 
     def test_peak_estimate_at_zero_inversion(self):
         n, beta = 40, 0.5
