@@ -29,7 +29,7 @@ def main():
         params = lb.LindbladParams(spec=ChainSpec(2, beta))
         traj = lb.integrate(lb.fully_inverted(2), params, taus,
                             rel_tol=1e-10, abs_tol=1e-14)
-        exact = lb.rate_series(traj, params)
+        exact = traj.gamma
         analytic = lb.two_atom_analytic(beta, taus).gamma
         out = args.outdir / f"two_atom_beta{beta}.csv"
         write_csv(str(out), ["tau", "gamma_exact", "gamma_analytic"],

@@ -125,19 +125,22 @@ def cmd_lindblad(cfg: dict) -> None:
     taus = _time_grid(cfg)
     traj = lb.integrate(lb.fully_inverted(spec.n_atoms), params, taus,
                         rel_tol=1e-10, abs_tol=1e-14)
-    ops = lb.build_operators(spec)
     header = ["tau", "sum_sz", "gamma", "gamma_coh", "gamma_incoh",
               "trace_err", "herm_err", "min_eig"]
-    rows = []
-    for k, rho in enumerate(traj.rhos):
-        coh, incoh = lb.rate_split(rho, params, ops)
-        rows.append((traj.taus[k], lb.sum_sz(rho, ops), coh + incoh, coh, incoh,
-                     traj.trace_err[k], traj.herm_err[k], traj.min_eig[k]))
-    write_csv(cfg["output"], header, rows)
+    write_csv(cfg["output"], header,
+              zip(traj.taus, traj.sum_sz, traj.gamma, traj.gamma_coh, traj.gamma_incoh,
+                  traj.trace_err, traj.herm_err, traj.min_eig))
+    worst_min_eig = float(traj.min_eig.min())
     write_meta(cfg["output"], "lindblad", cfg,
                {"max_trace_err": float(traj.trace_err.max()),
                 "max_herm_err": float(traj.herm_err.max()),
-                "n_rhs_evals": traj.n_rhs_evals})
+                "n_rhs_evals": traj.n_rhs_evals},
+               {"n_rhs_evals": traj.n_rhs_evals,
+                "sector_size": traj.sector.size,
+                "liouville_size": traj.sector.dim ** 2,
+                "worst_min_eig": worst_min_eig,
+                "min_eig_floor": lb.MIN_EIG_FLOOR,
+                "min_eig_below_floor": worst_min_eig < lb.MIN_EIG_FLOOR})
 
 
 def cmd_meanfield(cfg: dict) -> None:

@@ -2,6 +2,7 @@ import csv
 import json
 import pathlib
 import shlex
+import time
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 import numpy as np
@@ -80,6 +81,34 @@ class TestLindbladCommand:
 
     def test_resource_cap_exits_3(self, tmp_path):
         assert run(["lindblad", "--n", 9, "--output", tmp_path / "x.csv"]) == 3
+
+    def test_eight_atoms_finish_in_bounded_time(self, tmp_path):
+        # 2.2 s on a 2-vCPU host with one BLAS thread; the full dim^2 solve took 35 s
+        out = tmp_path / "lb8.csv"
+        t0 = time.perf_counter()
+        assert run(["lindblad", "--n", 8, "--beta", 0.3, "--horizon", 0.2,
+                    "--n-samples", 5, "--output", out]) == 0
+        assert time.perf_counter() - t0 < 15.0
+        meta = json.loads((tmp_path / "lb8.csv.meta.json").read_text())
+        assert meta["diagnostics"]["sector_size"] == 12870
+        assert meta["diagnostics"]["liouville_size"] == 65536
+
+    def test_diagnostics_flag_min_eig_without_failing(self, tmp_path):
+        out = tmp_path / "lb.csv"
+        argv = ["lindblad", "--n", 4, "--beta", 0.3, "--horizon", 2,
+                "--n-samples", 20, "--output", out]
+        assert run(argv) == 0
+        meta_path = tmp_path / "lb.csv.meta.json"
+        first = (out.read_bytes(), meta_path.read_bytes())
+        meta = json.loads(first[1])
+        worst = min(float(r["min_eig"]) for r in read_rows(out))
+        assert meta["diagnostics"] == {
+            "n_rhs_evals": meta["results"]["n_rhs_evals"], "sector_size": 70,
+            "liouville_size": 256, "worst_min_eig": worst, "min_eig_floor": -1e-8,
+            "min_eig_below_floor": True}
+        assert worst < -1e-8
+        assert run(argv) == 0
+        assert (out.read_bytes(), meta_path.read_bytes()) == first
 
 
 class TestMeanfieldCommand:

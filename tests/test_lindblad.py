@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import solve_ivp
 
 from isingrelax.errors import ModelValidityError, ResourceLimitError
-from isingrelax.lindblad import (LindbladParams, Trajectory, build_operators,
-                                 fully_inverted, integrate, lindblad_rhs,
-                                 order_parameter_exact, rate_series, rate_split,
-                                 relaxation_rate, sum_sz, two_atom_analytic)
+from isingrelax.lindblad import (HERM_TOL, TRACE_TOL, LindbladParams, _Work,
+                                 build_operators, excitation_sector, fully_inverted,
+                                 generator, integrate, lindblad_rhs,
+                                 observable_functional, order_parameter_exact,
+                                 rate_split, relaxation_rate, sum_sz,
+                                 two_atom_analytic)
 from isingrelax.spin_core import ChainSpec
 
 
@@ -57,7 +60,7 @@ class TestIntegration:
         p = params(beta=0.2)
         taus = np.linspace(0, 5, 60)
         traj = integrate(fully_inverted(2), p, taus, rel_tol=1e-10, abs_tol=1e-14)
-        got = rate_series(traj, p)
+        got = traj.gamma
         want = two_atom_analytic(0.2, taus).gamma
         assert np.max(np.abs(got - want) / np.abs(want)) < 1e-6
 
@@ -68,7 +71,8 @@ class TestIntegration:
             p = params(beta=0.1, alpha=alpha)
             traj = integrate(fully_inverted(2), p, taus,
                              rel_tol=1e-10, abs_tol=1e-14)
-            runs.append(np.array([np.real(np.diag(r)) for r in traj.rhos]))
+            runs.append(np.array([np.real(np.diag(traj.rho(k)))
+                                  for k in range(traj.taus.size)]))
         assert np.max(np.abs(runs[0] - runs[1])) < 1e-8
         assert np.max(np.abs(runs[0] - runs[2])) < 1e-8
 
@@ -80,7 +84,8 @@ class TestIntegration:
             p = params(beta=0.2, omega_dd=omega)
             traj = integrate(fully_inverted(2), p, taus,
                              rel_tol=1e-10, abs_tol=1e-14)
-            pops.append(np.array([np.real(np.diag(r)) for r in traj.rhos]))
+            pops.append(np.array([np.real(np.diag(traj.rho(k)))
+                                  for k in range(traj.taus.size)]))
         assert np.max(np.abs(pops[0] - pops[1])) < 1e-8
         assert np.max(np.abs(pops[0] - pops[2])) < 1e-8
 
@@ -134,7 +139,8 @@ class TestRates:
         p = params(3, 0.4)
         taus = np.linspace(0, 3, 12)
         traj = integrate(fully_inverted(3), p, taus)
-        for rho in traj.rhos:
+        for k in range(traj.taus.size):
+            rho = traj.rho(k)
             coh, incoh = rate_split(rho, p)
             assert coh + incoh == pytest.approx(relaxation_rate(rho, p), abs=1e-12)
 
@@ -143,8 +149,8 @@ class TestRates:
         taus = np.linspace(0, 5, 801)
         traj = integrate(fully_inverted(2), p, taus, rel_tol=1e-10, abs_tol=1e-14)
         ops = build_operators(p.spec)
-        s = np.array([sum_sz(r, ops) for r in traj.rhos])
-        gamma = rate_series(traj, p)
+        s = np.array([sum_sz(traj.rho(k), ops) for k in range(traj.taus.size)])
+        gamma = traj.gamma
         mid = -np.gradient(s, taus)
         assert np.max(np.abs(mid[2:-2] - gamma[2:-2])) < 1e-3
 
@@ -154,7 +160,7 @@ class TestRates:
         rho0[0, 0] = 1.0
         taus = np.linspace(0, 4, 30)
         traj = integrate(rho0, p, taus)
-        value = order_parameter_exact(traj, p, horizon=4.0)
+        value = order_parameter_exact(traj, horizon=4.0)
         assert value.value == 0.0
         assert value.excluded_samples == 30
 
@@ -163,4 +169,158 @@ class TestRates:
         p = params(2, 0.0)
         taus = np.linspace(0, 4, 30)
         traj = integrate(fully_inverted(2), p, taus)
-        assert order_parameter_exact(traj, p, horizon=4.0).value > 0.0
+        assert order_parameter_exact(traj, horizon=4.0).value > 0.0
+
+
+CHAINS = [("nearest_neighbor", "cyclic"), ("nearest_neighbor", "open"),
+          ("all_pairs", "cyclic")]
+
+
+def chain_params(n, beta, chain, omega):
+    om = None
+    if omega:
+        om = np.full((n, n), omega)
+        np.fill_diagonal(om, 0.0)
+    return LindbladParams(spec=ChainSpec(n, beta, *chain), omega_dd=om)
+
+
+def random_rho(dim, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+def tipped(n, theta=0.7, phi=0.3):
+    """Product state with every atom at polar angle theta: coherences of every k."""
+    psi = np.array([1.0])
+    site = np.array([np.sin(theta / 2), np.exp(1j * phi) * np.cos(theta / 2)])
+    for _ in range(n):
+        psi = np.kron(site, psi)
+    return np.outer(psi, psi.conj())
+
+
+def cat(n):
+    """(|0...0> + |1...1>)/sqrt 2: only k = 0 and k = +-n."""
+    rho = np.zeros((1 << n, 1 << n), dtype=complex)
+    rho[np.ix_([0, -1], [0, -1])] = 0.5
+    return rho
+
+
+def dense_integrate(rho0, p, taus, rel_tol=1e-10, abs_tol=1e-14):
+    """The full dim^2 solve `integrate` replaced: `lindblad_rhs` per RK45 stage."""
+    work, dim = _Work(p), rho0.shape[0]
+    ops = build_operators(p.spec)
+    sol = solve_ivp(lambda _t, y: lindblad_rhs(y.reshape(dim, dim), p, work).ravel(),
+                    (taus[0], taus[-1]), rho0.ravel().astype(complex), t_eval=taus,
+                    method="RK45", rtol=rel_tol, atol=abs_tol)
+    rhos = [sol.y[:, k].reshape(dim, dim) for k in range(sol.y.shape[1])]
+    incoh = np.array([rate_split(r, p, ops)[1] for r in rhos])
+    return dict(sum_sz=np.array([sum_sz(r, ops) for r in rhos]),
+                gamma=np.array([relaxation_rate(r, p, work) for r in rhos]),
+                gamma_incoh=incoh,
+                trace_err=np.array([abs(np.trace(r) - 1.0) for r in rhos]),
+                herm_err=np.array([np.max(np.abs(r - r.conj().T)) for r in rhos]),
+                min_eig=np.array([np.linalg.eigvalsh(0.5 * (r + r.conj().T))[0]
+                                  for r in rhos]))
+
+
+class TestSector:
+    @pytest.mark.parametrize("n,size", [(2, 6), (6, 924), (8, 12870)])
+    def test_full_inversion_keeps_k_zero(self, n, size):
+        sector = excitation_sector(fully_inverted(n))
+        assert sector.size == size
+        n_exc = np.array([bin(i).count("1") for i in range(sector.dim)])
+        assert np.all(n_exc[sector.rows] == n_exc[sector.cols])
+
+    @pytest.mark.parametrize("start", [fully_inverted(4), tipped(4), cat(4)])
+    def test_closed_under_transpose(self, start):
+        sector = excitation_sector(start)
+        assert np.array_equal(sector.rows[sector.transpose], sector.cols)
+        assert np.array_equal(sector.cols[sector.transpose], sector.rows)
+        assert np.array_equal(sector.dense(sector.vector(start)), start)
+
+    def test_tipped_start_keeps_every_entry(self):
+        assert excitation_sector(tipped(3)).size == 64
+
+    def test_cat_start_keeps_k_zero_and_n(self):
+        sector = excitation_sector(cat(4))
+        n_exc = np.array([bin(i).count("1") for i in range(16)])
+        k = set((n_exc[sector.rows] - n_exc[sector.cols]).tolist())
+        assert k == {-4, 0, 4}
+        # gcd 4 splits the basis by n_exc mod 4: {0, 4}, 1, 2 and 3 excitations
+        assert sorted(size for size, *_ in sector.blocks) == [2, 4, 4, 6]
+
+    @pytest.mark.parametrize("start", [fully_inverted(4), tipped(4), cat(4)])
+    def test_block_min_eig_matches_dense(self, start):
+        sector = excitation_sector(start)
+        rho = sector.dense(sector.vector(random_rho(16, 5) - 0.1 * np.eye(16)))
+        want = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0]
+        assert sector.min_eig(sector.vector(rho)) == pytest.approx(want, abs=1e-14)
+
+
+class TestGenerator:
+    @pytest.mark.parametrize("omega", [0.0, 0.5])
+    @pytest.mark.parametrize("chain", CHAINS)
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    @pytest.mark.parametrize("start", ["inverted", "tipped"])
+    def test_matches_dense_rhs_on_kept_entries(self, start, n, chain, omega):
+        p = chain_params(n, 0.35, chain, omega)
+        sector = excitation_sector(fully_inverted(n) if start == "inverted" else tipped(n))
+        rho = random_rho(p.spec.dim, n)
+        want = lindblad_rhs(rho, p).ravel()[sector.flat]
+        got = generator(p, sector) @ sector.vector(rho)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("chain", CHAINS)
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    def test_functional_matches_oracles(self, n, chain):
+        p = chain_params(n, 0.35, chain, 0.5)
+        ops = build_operators(p.spec)
+        for start in (fully_inverted(n), tipped(n)):
+            sector = excitation_sector(start)
+            rho = random_rho(p.spec.dim, n + 1)
+            got = np.real(sector.vector(rho) @ observable_functional(p, sector))
+            coh, incoh = rate_split(rho, p, ops)
+            gamma = relaxation_rate(rho, p)
+            assert abs(got[0] - sum_sz(rho, ops)) <= 1e-12
+            assert abs(got[1] - gamma) <= 1e-12
+            assert abs(got[2] - incoh) <= 1e-12
+            assert abs((got[1] - got[2]) - coh) <= 1e-12
+
+
+class TestAgainstDenseSolve:
+    @pytest.mark.parametrize("n,beta,chain,omega,start", [
+        (2, 0.2, CHAINS[0], 0.0, "inverted"),
+        (3, 0.5, CHAINS[2], 0.5, "inverted"),
+        (4, 0.5, CHAINS[1], 0.5, "inverted"),
+        (4, 0.3, CHAINS[0], 0.5, "inverted"),
+        (3, 0.4, CHAINS[0], 0.5, "tipped"),
+        (4, 0.3, CHAINS[1], 0.0, "tipped"),
+        (4, 0.3, CHAINS[0], 0.5, "cat"),
+    ])
+    def test_integrate_matches_dense_oracle(self, n, beta, chain, omega, start):
+        p = chain_params(n, beta, chain, omega)
+        rho0 = {"inverted": fully_inverted, "tipped": tipped, "cat": cat}[start](n)
+        # k != 0 coherences turn at alpha = 50, so those runs are kept short
+        taus = np.linspace(0.0, 2.0 if start == "inverted" else 0.5, 21)
+        traj = integrate(rho0, p, taus, rel_tol=1e-10, abs_tol=1e-14)
+        want = dense_integrate(rho0, p, taus)
+        for name in ("sum_sz", "gamma", "gamma_incoh"):
+            got = getattr(traj, name)
+            assert np.max(np.abs(got - want[name])) <= 1e-9 * np.max(np.abs(want[name])), name
+        assert np.max(np.abs(traj.min_eig - want["min_eig"])) <= 1e-10
+        for name, tol in (("trace_err", TRACE_TOL), ("herm_err", HERM_TOL)):
+            assert getattr(traj, name).max() <= tol and want[name].max() <= tol, name
+            assert np.max(np.abs(getattr(traj, name) - want[name])) <= 1e-3 * tol, name
+
+    def test_rho_rebuilds_the_start(self):
+        p = params(3, 0.4)
+        rho0 = tipped(3)
+        traj = integrate(rho0, p, np.linspace(0.0, 1.0, 5))
+        assert np.array_equal(traj.rho(0), rho0)
+        assert traj.states.shape == (64, 5)
+
+    def test_rejects_state_of_wrong_size(self):
+        with pytest.raises(ValueError, match="8x8"):
+            integrate(fully_inverted(2), params(3, 0.1), np.linspace(0.0, 1.0, 3))
