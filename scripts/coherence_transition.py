@@ -33,7 +33,7 @@ def main():
         print(f"beta={beta}: N_c = {nc:.1f}" if nc is not None
               else f"beta={beta}: no crossing on this grid")
     out = args.outdir / "coherence_transition.csv"
-    write_csv(str(out), ["beta", "n", "order_parameter"], rows)
+    write_csv(str(out), ["beta", "n", "order_parameter"], zip(*rows))
     print(f"wrote {out}")
 
 

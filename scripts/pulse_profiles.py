@@ -32,7 +32,7 @@ def main():
         reduced = np.interp(traj.taus, red.times, red.gamma)
         out = args.outdir / f"pulse_n{args.n}_beta{beta}.csv"
         write_csv(str(out), ["tau", "gamma_meanfield", "gamma_reduced"],
-                  zip(traj.taus, traj.gamma, reduced))
+                  [traj.taus, traj.gamma, reduced])
         dh = abs(traj.gamma_max - red.gamma_max) / red.gamma_max
         if red.t_peak > 0.0:
             dt = f"{abs(traj.t_peak - red.t_peak) / red.t_peak:.1%}"

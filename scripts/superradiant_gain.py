@@ -36,7 +36,7 @@ def main():
         print(f"beta={beta}: peak rate {rate:.6g}, gain {gain:.4f} "
               f"(prediction {1.0 + 1.5 * beta ** 2:.4f})")
     out = args.outdir / "superradiant_gain.csv"
-    write_csv(str(out), ["beta", "peak_rate", "gain", "predicted_gain"], rows)
+    write_csv(str(out), ["beta", "peak_rate", "gain", "predicted_gain"], zip(*rows))
 
     scaling_rows = []
     for coherent, label in ((False, "incoherent"), (True, "coherent")):
@@ -46,7 +46,7 @@ def main():
         print(f"all-pairs {label} channel: peak ~ N^{fit.exponent:.3f} "
               f"(r^2 = {fit.r_squared:.5f})")
     out2 = args.outdir / "peak_scaling.csv"
-    write_csv(str(out2), ["channel", "exponent", "r_squared"], scaling_rows)
+    write_csv(str(out2), ["channel", "exponent", "r_squared"], zip(*scaling_rows))
     print(f"wrote {out} and {out2}")
 
 

@@ -33,7 +33,7 @@ def main():
         analytic = lb.two_atom_analytic(beta, taus).gamma
         out = args.outdir / f"two_atom_beta{beta}.csv"
         write_csv(str(out), ["tau", "gamma_exact", "gamma_analytic"],
-                  zip(taus, exact, analytic))
+                  [taus, exact, analytic])
         err = np.max(np.abs(exact - analytic) / np.abs(analytic))
         print(f"beta={beta}: wrote {out}, max rel deviation {err:.2e}")
 

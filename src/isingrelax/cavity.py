@@ -9,7 +9,6 @@ Basis order: |uu, n>, |ud, n+1>, |du, n+1>, |dd, n+2>.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import cmath
 import math
 
 import numpy as np
@@ -54,14 +53,14 @@ class CavityParams:
 
 @dataclass(frozen=True)
 class CavityState:
-    amplitudes: np.ndarray   # complex, length 4
-    t: float
+    amplitudes: np.ndarray   # complex, shape (..., 4): one row of 4 per time
+    t: float | np.ndarray
     validity_warning: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "amplitudes",
                            np.asarray(self.amplitudes, dtype=complex))
-        if self.amplitudes.shape != (4,):
+        if self.amplitudes.shape[-1:] != (4,):
             raise ValueError("cavity state needs 4 amplitudes")
 
     @property
@@ -69,8 +68,8 @@ class CavityState:
         return np.abs(self.amplitudes) ** 2
 
     @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+    def norm(self) -> float | np.ndarray:
+        return np.linalg.norm(self.amplitudes, axis=-1)
 
 
 def block_hamiltonian(params: CavityParams) -> np.ndarray:
@@ -86,18 +85,19 @@ def block_hamiltonian(params: CavityParams) -> np.ndarray:
     ], dtype=complex)
 
 
-def exact_state(t: float, params: CavityParams) -> CavityState:
-    """Closed-form evolution of |uu, n> under the 4-state block."""
+def exact_state(t, params: CavityParams) -> CavityState:
+    """Closed-form evolution of |uu, n> under the 4-state block; t scalar or array."""
     n, g, jp = params.n_photons, params.g, params.j_prime
     d = params.rabi_splitting
-    phase = cmath.exp(-1j * (n + 1) * t)
-    osc = cmath.exp(1j * d * t) / (d - jp) + cmath.exp(-1j * d * t) / (d + jp)
-    c_uu = phase * ((n + 2) / (2 * n + 3) * cmath.exp(1j * jp * t)
+    t = np.asarray(t, dtype=float)
+    phase = np.exp(-1j * (n + 1) * t)
+    osc = np.exp(1j * d * t) / (d - jp) + np.exp(-1j * d * t) / (d + jp)
+    c_uu = phase * ((n + 2) / (2 * n + 3) * np.exp(1j * jp * t)
                     + g * g * (n + 1) / d * osc)
     c_dd = phase * math.sqrt((n + 1) * (n + 2)) * (
-        g * g / d * osc - cmath.exp(1j * jp * t) / (2 * n + 3))
-    c_mid = -1j * phase * g * math.sqrt(n + 1) / d * cmath.sin(d * t)
-    return CavityState(amplitudes=np.array([c_uu, c_mid, c_mid, c_dd]), t=t)
+        g * g / d * osc - np.exp(1j * jp * t) / (2 * n + 3))
+    c_mid = -1j * phase * g * math.sqrt(n + 1) / d * np.sin(d * t)
+    return CavityState(amplitudes=np.stack([c_uu, c_mid, c_mid, c_dd], axis=-1), t=t)
 
 
 def numeric_oracle(t: float, params: CavityParams) -> CavityState:
@@ -108,18 +108,20 @@ def numeric_oracle(t: float, params: CavityParams) -> CavityState:
     return CavityState(amplitudes=psi, t=t)
 
 
-def strong_j_state(t: float, params: CavityParams) -> CavityState:
-    """Two-amplitude approximation valid for J' >> g sqrt(2n+3)."""
+def strong_j_state(t, params: CavityParams) -> CavityState:
+    """Two-amplitude approximation valid for J' >> g sqrt(2n+3); t scalar or array."""
     n, jp = params.n_photons, params.j_prime
     if jp == 0:
         raise ValueError("strong-interaction approximation needs j_prime > 0")
     delta = params.two_photon_rabi
-    phase = cmath.exp(-1j * ((n + 1) - jp - delta) * t)
-    c_uu = phase * ((n + 1) / (2 * n + 3) * cmath.exp(1j * delta * t)
-                    + (n + 2) / (2 * n + 3) * cmath.exp(-1j * delta * t))
-    c_dd = phase * 2j * math.sqrt((n + 1) * (n + 2)) / (2 * n + 3) * cmath.sin(delta * t)
+    t = np.asarray(t, dtype=float)
+    phase = np.exp(-1j * ((n + 1) - jp - delta) * t)
+    c_uu = phase * ((n + 1) / (2 * n + 3) * np.exp(1j * delta * t)
+                    + (n + 2) / (2 * n + 3) * np.exp(-1j * delta * t))
+    c_dd = phase * 2j * math.sqrt((n + 1) * (n + 2)) / (2 * n + 3) * np.sin(delta * t)
+    zero = np.zeros_like(c_uu)
     warn = params.strong_coupling_ratio > STRONG_COUPLING_VALIDITY
-    return CavityState(amplitudes=np.array([c_uu, 0.0, 0.0, c_dd]), t=t,
+    return CavityState(amplitudes=np.stack([c_uu, zero, zero, c_dd], axis=-1), t=t,
                        validity_warning=warn)
 
 

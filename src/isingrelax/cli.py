@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .errors import IntegrationError, ModelValidityError, ResourceLimitError
-from .spin_core import BasisState, ChainSpec, energy_of, spectrum
+from .spin_core import ChainSpec, energy_levels
 from . import lindblad as lb
 from . import meanfield as mf
 from . import cavity as cv
@@ -29,19 +29,15 @@ from . import geometry as geo
 FLOAT_FMT = "%.17g"
 
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return FLOAT_FMT % float(value)
-
-
-def write_csv(path: str, header: list[str], rows) -> None:
+def write_csv(path: str, header: list[str], columns) -> None:
+    """One column per header name; each column's dtype sets its format."""
+    columns = [np.asarray(c) for c in columns]
+    if len(columns) != len(header):
+        raise ValueError(f"{len(header)} header names for {len(columns)} columns")
+    row_fmt = ",".join("%s" if c.dtype.kind == "U" else
+                       "%d" if c.dtype.kind in "biu" else FLOAT_FMT for c in columns)
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines.extend(row_fmt % row for row in zip(*(c.tolist() for c in columns)))
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -102,17 +98,14 @@ def _time_grid(cfg: dict) -> np.ndarray:
 def cmd_spectrum(cfg: dict) -> None:
     spec = ChainSpec(n_atoms=cfg["n"], beta=cfg["beta"],
                      coupling_range=cfg["range"], boundary=cfg["boundary"])
-    levels = spectrum(spec)
-    energies = np.array([lev.energy for lev in levels])
-    rows = []
-    for occ in range(spec.dim):
-        state = BasisState(occ, spec.n_atoms)
-        e = energy_of(state, spec)
-        idx = int(np.argmin(np.abs(energies - e)))
-        rows.append((occ, state.bits(), e, idx, levels[idx].degeneracy))
-    rows.sort(key=lambda r: (r[2], r[0]))
-    write_csv(cfg["output"], ["occupation", "bits", "energy", "level", "degeneracy"], rows)
-    write_meta(cfg["output"], "spectrum", cfg, {"n_levels": len(levels)})
+    occupation, energy, level = energy_levels(spec)
+    degeneracy = np.bincount(level)
+    # most significant site first, as format(occupation, "0Nb") writes it
+    digits = (occupation[:, None] >> np.arange(spec.n_atoms - 1, -1, -1)) & 1
+    bits = (digits + ord("0")).astype(np.uint8).view(f"S{spec.n_atoms}").ravel()
+    write_csv(cfg["output"], ["occupation", "bits", "energy", "level", "degeneracy"],
+              [occupation, bits.astype(str), energy, level, degeneracy[level]])
+    write_meta(cfg["output"], "spectrum", cfg, {"n_levels": degeneracy.size})
 
 
 def cmd_lindblad(cfg: dict) -> None:
@@ -128,8 +121,8 @@ def cmd_lindblad(cfg: dict) -> None:
     header = ["tau", "sum_sz", "gamma", "gamma_coh", "gamma_incoh",
               "trace_err", "herm_err", "min_eig"]
     write_csv(cfg["output"], header,
-              zip(traj.taus, traj.sum_sz, traj.gamma, traj.gamma_coh, traj.gamma_incoh,
-                  traj.trace_err, traj.herm_err, traj.min_eig))
+              [traj.taus, traj.sum_sz, traj.gamma, traj.gamma_coh, traj.gamma_incoh,
+               traj.trace_err, traj.herm_err, traj.min_eig])
     worst_min_eig = float(traj.min_eig.min())
     write_meta(cfg["output"], "lindblad", cfg,
                {"max_trace_err": float(traj.trace_err.max()),
@@ -148,9 +141,8 @@ def cmd_meanfield(cfg: dict) -> None:
                          phase_seed=cfg["phase_seed"], horizon=cfg["horizon"])
     traj = mf.integrate_mf(mf.initial_field(params), params,
                            n_samples=cfg["n_samples"])
-    rows = [(traj.taus[k], traj.sum_sz[k], traj.gamma[k])
-            for k in range(traj.taus.size)]
-    write_csv(cfg["output"], ["tau", "sum_sigma_z", "gamma"], rows)
+    write_csv(cfg["output"], ["tau", "sum_sigma_z", "gamma"],
+              [traj.taus, traj.sum_sz, traj.gamma])
     write_meta(cfg["output"], "meanfield", cfg,
                {"gamma_max": traj.gamma_max, "t_peak": traj.t_peak,
                 "bound_violations": traj.bound_violations},
@@ -172,7 +164,7 @@ def cmd_sweep(cfg: dict) -> None:
             rows_per_path["uniform" if uniform else "sites"] += 1
             rows.append((beta, n, mf.order_parameter_run(params)))
     rows.sort(key=lambda r: (r[0], r[1]))
-    write_csv(cfg["output"], ["beta", "n", "order_parameter"], rows)
+    write_csv(cfg["output"], ["beta", "n", "order_parameter"], zip(*rows))
     write_meta(cfg["output"], "sweep", cfg, {"n_rows": len(rows)},
                {"rows_per_mf_path": rows_per_path})
 
@@ -181,11 +173,8 @@ def cmd_soliton(cfg: dict) -> None:
     res = mf.soliton_ring(n_atoms=cfg["n"], beta=cfg["beta"],
                           defect_site=cfg["defect"], horizon=cfg["horizon"],
                           n_samples=cfg["n_samples"])
-    n = res.sigma_z.shape[1]
-    header = ["tau", "gamma"] + [f"sz_{i}" for i in range(n)]
-    rows = [(res.times[k], res.gamma[k], *res.sigma_z[k])
-            for k in range(res.times.size)]
-    write_csv(cfg["output"], header, rows)
+    header = ["tau", "gamma"] + [f"sz_{i}" for i in range(res.sigma_z.shape[1])]
+    write_csv(cfg["output"], header, [res.times, res.gamma, *res.sigma_z.T])
     write_meta(cfg["output"], "soliton", cfg,
                {"transition_times": [None if np.isnan(v) else float(v)
                                      for v in res.transition_times]})
@@ -195,28 +184,24 @@ def cmd_cavity(cfg: dict) -> None:
     params = cv.CavityParams(n_photons=cfg["n_photons"], g=cfg["g"],
                              j_prime=cfg["jprime"])
     times = _time_grid(cfg)
-    with_strong = params.j_prime > 0.0
+    state = cv.exact_state(times, params)
+    pops = state.populations
     header = ["t", "p_uu", "p_mid", "p_dd", "norm"]
-    if with_strong:
-        header.append("p_dd_strong")
-    rows = []
-    p_dd = np.empty(times.size)
-    for k, t in enumerate(times):
-        state = cv.exact_state(float(t), params)
-        pops = state.populations
-        p_dd[k] = pops[3]
-        row = [t, pops[0], pops[1] + pops[2], pops[3], state.norm]
-        if with_strong:
-            row.append(cv.strong_j_state(float(t), params).populations[3])
-        rows.append(tuple(row))
-    write_csv(cfg["output"], header, rows)
+    columns = [times, pops[:, 0], pops[:, 1] + pops[:, 2], pops[:, 3], state.norm]
     extra = {"rabi_splitting": params.rabi_splitting,
              "p_dd_max_analytic": cv.two_photon_probability_max(params.n_photons)}
-    if with_strong:
+    diagnostics = None
+    if params.j_prime > 0.0:
+        strong = cv.strong_j_state(times, params)
+        header.append("p_dd_strong")
+        columns.append(strong.populations[:, 3])
         extra["two_photon_rabi"] = params.two_photon_rabi
         extra["strong_coupling_ratio"] = params.strong_coupling_ratio
-        extra["rabi_extracted"] = cv.rabi_frequency_from_populations(times, p_dd)
-    write_meta(cfg["output"], "cavity", cfg, extra)
+        extra["rabi_extracted"] = cv.rabi_frequency_from_populations(times, pops[:, 3])
+        diagnostics = {"strong_validity_warning": strong.validity_warning,
+                       "strong_validity_threshold": cv.STRONG_COUPLING_VALIDITY}
+    write_csv(cfg["output"], header, columns)
+    write_meta(cfg["output"], "cavity", cfg, extra, diagnostics)
 
 
 def cmd_geometry(cfg: dict) -> None:
@@ -231,11 +216,9 @@ def cmd_geometry(cfg: dict) -> None:
                          f"with positions_k0r and dipole; missing {', '.join(missing)}")
     geom = geo.AtomGeometry(positions=np.asarray(data["positions_k0r"], dtype=float),
                             dipole=np.asarray(data["dipole"], dtype=float))
-    rows = [(r["i"], r["j"], r["k0r"], r["cos_chi"], r["F_at_k0r"],
-             r["omega_over_gamma0"]) for r in geo.coefficient_table(geom)]
-    write_csv(cfg["output"], ["i", "j", "k0r", "cos_chi", "F_at_k0r",
-                              "omega_over_gamma0"], rows)
-    write_meta(cfg["output"], "geometry", cfg, {"n_pairs": len(rows)})
+    table = geo.coefficient_table(geom)
+    write_csv(cfg["output"], list(table), table.values())
+    write_meta(cfg["output"], "geometry", cfg, {"n_pairs": table["i"].size})
 
 
 # --------------------------------------------------------------------------

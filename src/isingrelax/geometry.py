@@ -52,52 +52,61 @@ class AtomGeometry:
     def n_atoms(self) -> int:
         return self.positions.shape[0]
 
-    def pair(self, i: int, j: int) -> tuple[float, float]:
-        """(k0*r, cos_chi) for the ij pair."""
-        rij = self.positions[i] - self.positions[j]
-        r = float(np.linalg.norm(rij))
-        if r <= 0.0:
-            raise ValueError(f"atoms {i} and {j} coincide")
-        return r, float(np.dot(self.dipole, rij / r))
+
+def pairs(geom: AtomGeometry) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(i, j, k0r, cos_chi) of every pair i < j, in row-major order."""
+    i, j = np.triu_indices(geom.n_atoms, k=1)
+    rij = geom.positions[i] - geom.positions[j]
+    k0r = np.linalg.norm(rij, axis=1)
+    # distinct atoms closer than about 1e-162 have a squared distance of 0
+    gone = np.flatnonzero(k0r <= 0.0)
+    if gone.size:
+        raise ValueError(f"atoms {i[gone[0]]} and {j[gone[0]]} coincide")
+    return i, j, k0r, (rij / k0r[:, None]) @ geom.dipole
 
 
-def f_coeff(x: float, cos_chi: float) -> float:
-    """Geometric factor of the radiation kernel; -> 1 in the quasi-static limit."""
-    if x < 0:
-        raise ValueError(f"x must be non-negative, got {x}")
-    if abs(cos_chi) > 1.0 + 1e-12:
-        raise ValueError(f"|cos_chi| must be <= 1, got {cos_chi}")
-    a = 1.0 - cos_chi * cos_chi
-    b = 1.0 - 3.0 * cos_chi * cos_chi
-    if x < _F_SERIES_SWITCH:
-        x2 = x * x
-        sinc = 1.0 - x2 / 6.0 + x2 * x2 / 120.0
-        tail = -1.0 / 3.0 + x2 / 30.0 - x2 * x2 / 840.0
-        return 1.5 * (a * sinc + b * tail)
-    return 1.5 * (a * math.sin(x) / x
-                  + b * (math.cos(x) / x ** 2 - math.sin(x) / x ** 3))
+def _require(ok: np.ndarray, values: np.ndarray, what: str) -> None:
+    """Raise ValueError naming the first entry of values where ok is False."""
+    if not np.all(ok):
+        raise ValueError(f"{what}, got {values[~ok][0]}")
 
 
-def omega_dd(k0r: float, cos_chi: float) -> float:
-    """Quasi-static dipole-dipole constant as the ratio Omega/gamma0."""
-    if k0r <= 0.0:
-        raise ValueError(f"k0*r must be positive, got {k0r}")
-    b = 1.0 - 3.0 * cos_chi * cos_chi
-    if abs(b) < 4e-16:
-        # rounding of cos_chi = 1/sqrt(3) leaves an O(eps) residue; the magic
-        # angle is an exact zero of the coupling
-        return 0.0
-    return -1.5 * b / k0r ** 3
+def f_coeff(x, cos_chi):
+    """Geometric factor of the radiation kernel, -> 1 quasi-statically; broadcasts."""
+    x = np.asarray(x, dtype=float)
+    c = np.asarray(cos_chi, dtype=float)
+    _require(np.isfinite(x) & (x >= 0.0), x, "x must be finite and non-negative")
+    _require(~(np.abs(c) > 1.0 + 1e-12), c, "|cos_chi| must be <= 1")
+    a = 1.0 - c * c
+    b = 1.0 - 3.0 * c * c
+    small = x < _F_SERIES_SWITCH
+    # each branch sees its own x and a harmless stand-in elsewhere, so neither
+    # overflows nor divides by zero where np.where discards it
+    x2 = np.where(small, x, 0.0) ** 2
+    sinc = 1.0 - x2 / 6.0 + x2 * x2 / 120.0
+    tail = -1.0 / 3.0 + x2 / 30.0 - x2 * x2 / 840.0
+    xd = np.where(small, 1.0, x)
+    direct = 1.5 * (a * np.sin(xd) / xd
+                    + b * (np.cos(xd) / xd ** 2 - np.sin(xd) / xd ** 3))
+    return np.where(small, 1.5 * (a * sinc + b * tail), direct)[()]   # 0-d -> scalar
+
+
+def omega_dd(k0r, cos_chi):
+    """Quasi-static dipole-dipole constant as the ratio Omega/gamma0; broadcasts."""
+    k0r = np.asarray(k0r, dtype=float)
+    c = np.asarray(cos_chi, dtype=float)
+    _require(k0r > 0.0, k0r, "k0*r must be positive")
+    b = 1.0 - 3.0 * c * c
+    # rounding of cos_chi = 1/sqrt(3) leaves an O(eps) residue; the magic
+    # angle is an exact zero of the coupling
+    return np.where(np.abs(b) < 4e-16, 0.0, -1.5 * b / k0r ** 3)[()]   # 0-d -> scalar
 
 
 def omega_matrix(geom: AtomGeometry) -> np.ndarray:
     """Symmetric N x N table of Omega_ij/gamma0 with zero diagonal."""
-    n = geom.n_atoms
-    om = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            k0r, cos_chi = geom.pair(i, j)
-            om[i, j] = om[j, i] = omega_dd(k0r, cos_chi)
+    i, j, k0r, cos_chi = pairs(geom)
+    om = np.zeros((geom.n_atoms, geom.n_atoms))
+    om[i, j] = om[j, i] = omega_dd(k0r, cos_chi)
     return om
 
 
@@ -146,13 +155,9 @@ def quasistatic_asymptote(x: float, cos_chi: float) -> float:
     return -0.75 * math.pi * (1.0 - 3.0 * cos_chi * cos_chi) / x ** 3
 
 
-def coefficient_table(geom: AtomGeometry) -> list[dict]:
-    """Per-pair rows for the coefficient dump: i, j, k0r, cos_chi, F, Omega/gamma0."""
-    rows = []
-    for i in range(geom.n_atoms):
-        for j in range(i + 1, geom.n_atoms):
-            k0r, cos_chi = geom.pair(i, j)
-            rows.append({"i": i, "j": j, "k0r": k0r, "cos_chi": cos_chi,
-                         "F_at_k0r": f_coeff(k0r, cos_chi),
-                         "omega_over_gamma0": omega_dd(k0r, cos_chi)})
-    return rows
+def coefficient_table(geom: AtomGeometry) -> dict[str, np.ndarray]:
+    """Per-pair columns of the coefficient dump: i, j, k0r, cos_chi, F, Omega/gamma0."""
+    i, j, k0r, cos_chi = pairs(geom)
+    return {"i": i, "j": j, "k0r": k0r, "cos_chi": cos_chi,
+            "F_at_k0r": f_coeff(k0r, cos_chi),
+            "omega_over_gamma0": omega_dd(k0r, cos_chi)}

@@ -568,13 +568,13 @@ def soliton_ring(n_atoms: int = 20, beta: float = 0.99, defect_site: int = 0,
         raise IntegrationError(f"soliton integration failed: {sol.message}")
     t = sol.t
     szs = sol.y.T.copy()
-    gamma = np.array([-rhs(0.0, row).sum() for row in szs])
+    gamma = -rhs(0.0, szs).sum(axis=1)
     trans = np.full(n_atoms, np.nan)
-    for site in range(n_atoms):
-        col = szs[:, site]
-        below = np.nonzero(np.diff(np.signbit(col)))[0]
-        if below.size:
-            k = below[0]
-            frac = col[k] / (col[k] - col[k + 1])
-            trans[site] = t[k] + frac * (t[k + 1] - t[k])
+    # first sample interval in which each site's sigma_z changes sign
+    flips = np.diff(np.signbit(szs), axis=0)
+    sites = np.flatnonzero(flips.any(axis=0))
+    if sites.size:
+        k = np.argmax(flips[:, sites], axis=0)
+        a, b = szs[k, sites], szs[k + 1, sites]
+        trans[sites] = t[k] + a / (a - b) * (t[k + 1] - t[k])
     return SolitonResult(times=t, sigma_z=szs, gamma=gamma, transition_times=trans)

@@ -114,34 +114,36 @@ def _diagonal_sz(n_atoms: int) -> np.ndarray:
     return np.stack([np.where((idx >> i) & 1, 0.5, -0.5) for i in range(n_atoms)])
 
 
-def spectrum(spec: ChainSpec) -> list[SpectrumLevel]:
-    """All 2^N energies grouped into degenerate levels, sorted ascending."""
+def energies(spec: ChainSpec) -> np.ndarray:
+    """Energies M - beta*B of all 2^N basis states by bitmask, bit-equal to energy_of:
+    M = sum_i s_i and B = sum_bonds s_i s_j add multiples of 1/4, exact in any order."""
     if spec.n_atoms > SPECTRUM_MAX_ATOMS:
         raise ResourceLimitError(
             f"spectrum enumeration capped at {SPECTRUM_MAX_ATOMS} atoms, "
             f"got {spec.n_atoms}")
     sz = _diagonal_sz(spec.n_atoms)
-    energies = sz.sum(axis=0)
+    bond_sum = np.zeros(spec.dim)
     for i, j in spec.bonds():
-        energies = energies - spec.beta * sz[i] * sz[j]
-    order = np.argsort(energies, kind="stable")
-    levels: list[SpectrumLevel] = []
-    group_start = None
-    group_rep = None
-    group_count = 0
-    for k in order:
-        e = energies[k]
-        if group_start is None or abs(e - group_start) > DEGENERACY_TOL:
-            if group_start is not None:
-                levels.append(SpectrumLevel(group_start, group_count,
-                                            BasisState(group_rep, spec.n_atoms)))
-            group_start, group_rep, group_count = float(e), int(k), 1
-        else:
-            group_count += 1
-            group_rep = min(group_rep, int(k))
-    levels.append(SpectrumLevel(group_start, group_count,
-                                BasisState(group_rep, spec.n_atoms)))
-    return levels
+        bond_sum += sz[i] * sz[j]
+    return sz.sum(axis=0) - spec.beta * bond_sum
+
+
+def energy_levels(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(bitmasks, energies, level index) of all basis states in stable energy order;
+    a new level starts wherever the sorted energy rises by more than DEGENERACY_TOL."""
+    e = energies(spec)
+    order = np.argsort(e, kind="stable")
+    e = e[order]
+    return order, e, np.cumsum(np.diff(e, prepend=e[0]) > DEGENERACY_TOL)
+
+
+def spectrum(spec: ChainSpec) -> list[SpectrumLevel]:
+    """Degenerate levels, ascending, each with its lowest energy and smallest bitmask."""
+    order, e, level = energy_levels(spec)
+    starts = np.flatnonzero(np.diff(level, prepend=-1))
+    reps = np.minimum.reduceat(order, starts)
+    return [SpectrumLevel(float(e[s]), int(count), BasisState(int(rep), spec.n_atoms))
+            for s, count, rep in zip(starts, np.bincount(level), reps)]
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,17 @@ class TestExactBlock:
                         worst = max(worst, diff)
         assert worst < 1e-10
 
+    def test_time_array_matches_oracle_per_time(self):
+        p = CavityParams(n_photons=2, g=0.05, j_prime=0.7)
+        times = np.linspace(0.0, 300.0, 37)
+        state = exact_state(times, p)
+        assert state.amplitudes.shape == (37, 4)
+        assert exact_state(1.0, p).amplitudes.shape == (4,)
+        for k, t in enumerate(times):
+            assert np.max(np.abs(state.amplitudes[k]
+                                 - numeric_oracle(float(t), p).amplitudes)) < 1e-10
+        assert np.max(np.abs(state.norm - 1.0)) < 1e-12
+
     def test_norm_conserved(self):
         p = CavityParams(n_photons=2, g=0.05, j_prime=1.0)
         for t in np.linspace(0, 500, 40):
@@ -81,6 +92,16 @@ class TestStrongInteraction:
             exact = exact_state(float(t), p).populations[3]
             approx = strong_j_state(float(t), p).populations[3]
             assert abs(exact - approx) < 5e-3
+
+    def test_time_array_matches_scalar_times(self):
+        p = CavityParams(n_photons=1, g=0.01, j_prime=5.0)
+        times = np.linspace(0.0, 4000.0, 23)
+        state = strong_j_state(times, p)
+        assert state.amplitudes.shape == (23, 4)
+        assert strong_j_state(1.0, p).amplitudes.shape == (4,)
+        for k, t in enumerate(times):
+            assert np.max(np.abs(state.amplitudes[k]
+                                 - strong_j_state(float(t), p).amplitudes)) < 1e-14
 
     def test_validity_warning_outside_regime(self):
         weak = CavityParams(n_photons=1, g=0.2, j_prime=0.5)

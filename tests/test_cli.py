@@ -3,12 +3,15 @@ import json
 import pathlib
 import shlex
 import time
+import tracemalloc
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 import numpy as np
 import pytest
 
-from isingrelax.cli import OPTIONS, build_parser, main, parse_float_list, parse_n_range
+from isingrelax.cli import (FLOAT_FMT, OPTIONS, build_parser, main, parse_float_list,
+                            parse_n_range, write_csv)
+from isingrelax.spin_core import DEGENERACY_TOL, BasisState, ChainSpec, energy_of
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -38,7 +41,106 @@ class TestParsing:
         assert parse_float_list("0,0.5,0.9") == [0.0, 0.5, 0.9]
 
 
+def _fmt(value) -> str:
+    """Per-value CSV formatting, the reference for the column writer."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return FLOAT_FMT % float(value)
+
+
+def csv_by_rows(header, rows) -> str:
+    lines = [",".join(header)]
+    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def spectrum_by_state(spec):
+    """(rows, n_levels) of the spectrum table built one basis state at a time.
+
+    Levels are grouped from energies that subtract one bond at a time, each
+    level holding the states within DEGENERACY_TOL of its lowest energy; each
+    row's energy comes from energy_of and its level is the nearest one.
+    """
+    sz = np.stack([np.where((np.arange(spec.dim) >> i) & 1, 0.5, -0.5)
+                   for i in range(spec.n_atoms)])
+    by_bond = sz.sum(axis=0)
+    for i, j in spec.bonds():
+        by_bond = by_bond - spec.beta * sz[i] * sz[j]
+    level_energies, degeneracies = [], []
+    for k in np.argsort(by_bond, kind="stable"):
+        if not level_energies or abs(by_bond[k] - level_energies[-1]) > DEGENERACY_TOL:
+            level_energies.append(float(by_bond[k]))
+            degeneracies.append(0)
+        degeneracies[-1] += 1
+    rows = []
+    for occ in range(spec.dim):
+        state = BasisState(occ, spec.n_atoms)
+        e = energy_of(state, spec)
+        idx = int(np.argmin(np.abs(np.array(level_energies) - e)))
+        rows.append((occ, state.bits(), e, idx, degeneracies[idx]))
+    rows.sort(key=lambda r: (r[2], r[0]))
+    return rows, len(level_energies)
+
+
+class TestWriteCsv:
+    def test_matches_per_value_formatting(self, tmp_path):
+        columns = [np.array([0, -5, 2 ** 40, 7]),
+                   np.array([True, False, True, False]),
+                   np.array(["a", "0110", "", "x y"]),
+                   np.array([np.nan, np.inf, -np.inf, 0.1]),
+                   np.array([-0.0, 1e-300, 5e-324, 1.0 / 3.0]),
+                   [1.5, 2.0, -1e300, 123456789.123456789]]
+        header = ["i", "flag", "name", "special", "tiny", "listed"]
+        out = tmp_path / "t.csv"
+        write_csv(str(out), header, columns)
+        assert out.read_text() == csv_by_rows(header, zip(*columns))
+
+    def test_zero_rows_is_header_only(self, tmp_path):
+        out = tmp_path / "t.csv"
+        write_csv(str(out), ["i", "x", "s"],
+                  [np.array([], int), np.array([]), np.array([], str)])
+        assert out.read_text() == "i,x,s\n" == csv_by_rows(["i", "x", "s"], [])
+
+    def test_rejects_header_column_mismatch(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_csv(str(tmp_path / "t.csv"), ["a", "b"], [np.arange(3)])
+
+
 class TestSpectrumCommand:
+    @pytest.mark.parametrize("n,beta,chain", [
+        (1, 0.3, ("nearest_neighbor", "cyclic")),
+        (2, 0.5, ("nearest_neighbor", "cyclic")),
+        (10, 0.5, ("nearest_neighbor", "cyclic")),
+        (10, 0.9, ("nearest_neighbor", "open")),
+        (9, 0.25, ("all_pairs", "cyclic")),
+        (12, 0.0, ("nearest_neighbor", "cyclic")),
+        (12, 0.5, ("all_pairs", "open")),
+    ])
+    def test_bytes_match_per_state_table(self, tmp_path, n, beta, chain):
+        out = tmp_path / "spec.csv"
+        assert run(["spectrum", "--n", n, "--beta", beta, "--range", chain[0],
+                    "--boundary", chain[1], "--output", out]) == 0
+        rows, n_levels = spectrum_by_state(ChainSpec(n, beta, *chain))
+        want = csv_by_rows(["occupation", "bits", "energy", "level", "degeneracy"], rows)
+        # compared line by line: pytest's diff of two long strings is quadratic
+        assert out.read_text().split("\n") == want.split("\n")
+        meta = json.loads((tmp_path / "spec.csv.meta.json").read_text())
+        assert meta["results"]["n_levels"] == n_levels
+
+    def test_over_cap_exits_3_before_allocating(self, tmp_path):
+        tracemalloc.start()
+        try:
+            assert run(["spectrum", "--n", 21, "--output", tmp_path / "x.csv"]) == 3
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20   # one 2^21 float row alone is 16 MiB
+        assert not (tmp_path / "x.csv").exists()
+
     def test_row_count_and_meta(self, tmp_path):
         out = tmp_path / "spec.csv"
         assert run(["spectrum", "--n", 6, "--beta", 0.1, "--output", out]) == 0
@@ -234,6 +336,20 @@ class TestDiagnostics:
                                                                       "sites": 2}}
 
 
+    @pytest.mark.parametrize("g,jprime,warning", [(0.2, 0.5, True), (0.01, 5.0, False),
+                                                  (0.01, 0.0, None)])
+    def test_cavity_reports_strong_coupling_validity(self, tmp_path, g, jprime, warning):
+        out = tmp_path / "cav.csv"
+        assert run(["cavity", "--g", g, "--jprime", jprime, "--horizon", 10,
+                    "--n-samples", 16, "--output", out]) == 0
+        meta = self.meta(out)
+        if warning is None:
+            assert "diagnostics" not in meta
+        else:
+            assert meta["diagnostics"] == {"strong_validity_warning": warning,
+                                           "strong_validity_threshold": 0.3}
+
+
 class TestDeterminism:
     def test_meanfield_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -303,6 +419,15 @@ class TestOtherCommands:
         assert len(rows) == 3
         assert float(rows[0]["omega_over_gamma0"]) == pytest.approx(
             -1.5 / 0.2 ** 3)
+
+    def test_geometry_one_atom_writes_header_only(self, tmp_path):
+        gfile = tmp_path / "geom.json"
+        gfile.write_text(json.dumps({"positions_k0r": [[0, 0, 0]], "dipole": [0, 0, 1]}))
+        out = tmp_path / "geo.csv"
+        assert run(["geometry", "--geometry", gfile, "--output", out]) == 0
+        assert out.read_text() == "i,j,k0r,cos_chi,F_at_k0r,omega_over_gamma0\n"
+        meta = json.loads((tmp_path / "geo.csv.meta.json").read_text())
+        assert meta["results"]["n_pairs"] == 0
 
     def test_missing_geometry_file_exits_2(self, tmp_path):
         assert run(["geometry", "--geometry", tmp_path / "none.json",

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from isingrelax.geometry import (AtomGeometry, aux_a, aux_b, coefficient_table,
-                                 f_coeff, omega_dd, omega_matrix, pv_integrals,
+                                 f_coeff, omega_dd, omega_matrix, pairs, pv_integrals,
                                  quasistatic_asymptote, si_ci)
 
 MAGIC_COS = 1.0 / math.sqrt(3.0)
@@ -23,10 +24,53 @@ def si_ci_quadrature(x):
     return si, ci
 
 
+def f_coeff_scalar(x, cos_chi):
+    """Scalar geometric factor with the same series switch, for per-pair checks."""
+    a = 1.0 - cos_chi * cos_chi
+    b = 1.0 - 3.0 * cos_chi * cos_chi
+    if x < 1e-2:
+        x2 = x * x
+        return 1.5 * (a * (1.0 - x2 / 6.0 + x2 * x2 / 120.0)
+                      + b * (-1.0 / 3.0 + x2 / 30.0 - x2 * x2 / 840.0))
+    return 1.5 * (a * math.sin(x) / x
+                  + b * (math.cos(x) / x ** 2 - math.sin(x) / x ** 3))
+
+
+def omega_dd_scalar(k0r, cos_chi):
+    b = 1.0 - 3.0 * cos_chi * cos_chi
+    return 0.0 if abs(b) < 4e-16 else -1.5 * b / k0r ** 3
+
+
+def table_by_pair(geom):
+    """Coefficient columns built one pair at a time."""
+    cols = {k: [] for k in ("i", "j", "k0r", "cos_chi", "F_at_k0r", "omega_over_gamma0")}
+    om = np.zeros((geom.n_atoms, geom.n_atoms))
+    for i in range(geom.n_atoms):
+        for j in range(i + 1, geom.n_atoms):
+            rij = geom.positions[i] - geom.positions[j]
+            r = float(np.linalg.norm(rij))
+            c = float(np.dot(geom.dipole, rij / r))
+            om[i, j] = om[j, i] = omega_dd_scalar(r, c)
+            for key, value in zip(cols, (i, j, r, c, f_coeff_scalar(r, c), om[i, j])):
+                cols[key].append(value)
+    return cols, om
+
+
+def mixed_geometry():
+    """A jittered block, a pair 2^-8 apart (series branch; every rounding exact)
+    and a pair at the magic angle to the z dipole."""
+    rng = np.random.default_rng(11)
+    grid = np.stack(np.meshgrid(*[np.arange(3.0)] * 3, indexing="ij"), -1).reshape(-1, 3)
+    block = 2.0 + 0.8 * grid + rng.uniform(-0.1, 0.1, grid.shape)
+    special = [[0, 0, 0], [0, 0, 2.0 ** -8],
+               [math.sqrt(2.0 / 3.0), 0, math.sqrt(1.0 / 3.0)]]
+    return AtomGeometry(positions=np.vstack([special, block]), dipole=[0, 0, 1])
+
+
 class TestGeometryContainer:
     def test_pair_distance_and_angle(self):
         geom = AtomGeometry(positions=[[0, 0, 0], [0, 0, 2.0]], dipole=[0, 0, 1])
-        k0r, c = geom.pair(0, 1)
+        _, _, (k0r,), (c,) = pairs(geom)
         assert k0r == pytest.approx(2.0)
         assert abs(c) == pytest.approx(1.0)
 
@@ -74,6 +118,24 @@ class TestFCoeff:
     def test_bounded(self, x, c):
         assert abs(f_coeff(x, c)) <= 1.5 + 1e-9
 
+    def test_array_equals_scalar_calls_without_warnings(self):
+        x = np.array([0.0, 1e-300, 1e-120, 5e-3, 1e-2, 0.3, 7.0, 1e6])
+        c = np.array([0.3, -1.0, 0.5, MAGIC_COS, 0.0, 1.0, -0.2, 0.9])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = f_coeff(x, c)
+        scalars = [f_coeff(float(xk), float(ck)) for xk, ck in zip(x, c)]
+        assert all(isinstance(v, float) for v in scalars)
+        assert got.tolist() == scalars
+
+    def test_errors_name_the_first_bad_value(self):
+        with pytest.raises(ValueError, match=r"got -2\.0$"):
+            f_coeff(np.array([1.0, -2.0, -3.0]), 0.0)
+        with pytest.raises(ValueError, match=r"got 1\.5$"):
+            f_coeff(1.0, np.array([0.0, 1.5, -4.0]))
+        with pytest.raises(ValueError, match=r"got 0\.0$"):
+            omega_dd(np.array([1.0, 0.0, -1.0]), 0.2)
+
 
 class TestOmega:
     def test_magic_angle_vanishes_exactly(self):
@@ -82,7 +144,7 @@ class TestOmega:
             positions=[[0, 0, 0],
                        [math.sqrt(2.0 / 3.0), 0, math.sqrt(1.0 / 3.0)]],
             dipole=[0, 0, 1])
-        k0r, c = geom.pair(0, 1)
+        _, _, (k0r,), (c,) = pairs(geom)
         assert omega_dd(k0r, c) == pytest.approx(0.0, abs=1e-12)
 
     def test_inverse_cube_scaling(self):
@@ -97,12 +159,30 @@ class TestOmega:
         assert np.allclose(om, om.T)
         assert np.all(np.diag(om) == 0)
 
+    def test_magic_angle_vanishes_inside_an_array(self):
+        got = omega_dd(np.array([1.7, 2.0, 0.5]), np.array([MAGIC_COS, 0.2, -MAGIC_COS]))
+        assert got.tolist() == [0.0, omega_dd(2.0, 0.2), 0.0]
+
+    def test_table_and_matrix_match_pair_loop(self):
+        geom = mixed_geometry()
+        want, want_om = table_by_pair(geom)
+        got = coefficient_table(geom)
+        assert list(got) == list(want)
+        for key in ("i", "j"):
+            assert got[key].tolist() == want[key]
+        for key in ("k0r", "cos_chi", "F_at_k0r", "omega_over_gamma0"):
+            assert np.max(np.abs(got[key] - want[key])) <= 1e-14, key
+        assert np.max(np.abs(omega_matrix(geom) - want_om)) <= 1e-14
+        # pair (0, 1) is 2^-8 apart on the series branch, pair (0, 2) at the magic angle
+        assert want["k0r"][0] < 1e-2 and abs(want["omega_over_gamma0"][0]) > 1e6
+        assert want["omega_over_gamma0"][1] == got["omega_over_gamma0"][1] == 0.0
+
     def test_coefficient_table_rows(self):
         geom = AtomGeometry(positions=[[0, 0, 0], [0.3, 0, 0], [0, 0.4, 0.1]],
                             dipole=[0, 0, 1])
-        rows = coefficient_table(geom)
-        assert len(rows) == 3
-        assert {tuple(sorted((r["i"], r["j"]))) for r in rows} == \
+        table = coefficient_table(geom)
+        assert all(column.shape == (3,) for column in table.values())
+        assert set(zip(table["i"].tolist(), table["j"].tolist())) == \
             {(0, 1), (0, 2), (1, 2)}
 
 

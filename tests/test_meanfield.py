@@ -522,3 +522,21 @@ class TestSoliton:
         res = soliton_ring(n_atoms=20, beta=0.0, defect_site=0)
         times = res.transition_times[1:]
         assert np.nanmax(times) - np.nanmin(times) < 1e-9
+
+    @pytest.mark.parametrize("n_samples,horizon", [(300, 30.0), (1, 50.0), (2, 50.0)])
+    def test_rate_and_front_match_per_sample_loops(self, n_samples, horizon):
+        beta = 0.9
+        res = soliton_ring(n_atoms=12, beta=beta, defect_site=3, horizon=horizon,
+                           n_samples=n_samples)
+        gamma = [((1.0 + 2.0 * row) * coupling_functions(row, beta)["gamma3"]).sum()
+                 for row in res.sigma_z]
+        assert res.gamma.tolist() == gamma
+        t = res.times
+        want = np.full(12, np.nan)
+        for site in range(12):
+            col = res.sigma_z[:, site]
+            below = np.nonzero(np.diff(np.signbit(col)))[0]
+            if below.size:
+                k = below[0]
+                want[site] = t[k] + col[k] / (col[k] - col[k + 1]) * (t[k + 1] - t[k])
+        assert np.array_equal(res.transition_times, want, equal_nan=True)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from isingrelax.errors import ResourceLimitError
-from isingrelax.spin_core import (BasisState, ChainSpec, build_operators,
+from isingrelax.spin_core import (BasisState, ChainSpec, build_operators, energies,
                                   energy_of, gamma_eigenvalue, spectrum)
 
 
@@ -69,6 +69,16 @@ class TestEnergy:
             float(np.real(ops.h_atom[occ, occ])), abs=1e-12)
 
 
+    @pytest.mark.parametrize("coupling_range", ["nearest_neighbor", "all_pairs"])
+    @pytest.mark.parametrize("boundary", ["cyclic", "open"])
+    def test_vectorised_bit_equal_to_energy_of(self, coupling_range, boundary):
+        for n in range(1, 11):
+            for beta in (0.0, 0.3, 0.5, 0.9):
+                spec = ChainSpec(n, beta, coupling_range, boundary)
+                want = [energy_of(BasisState(occ, n), spec) for occ in range(spec.dim)]
+                assert energies(spec).tobytes() == np.array(want).tobytes()
+
+
 class TestGammaEigenvalue:
     def test_all_up_neighbors(self):
         spec = ChainSpec(6, 0.4)
@@ -109,6 +119,18 @@ class TestSpectrum:
     def test_enumeration_cap(self):
         with pytest.raises(ResourceLimitError):
             spectrum(ChainSpec(21, 0.1))
+
+    def test_coincident_levels_stay_whole(self):
+        # at beta = 0.5 distinct (M, B) pairs share an energy, and the two sides
+        # of each sum round differently when the bonds are subtracted one by one
+        levels = spectrum(ChainSpec(10, 0.5))
+        want = {}
+        for occ in range(1 << 10):
+            e = energy_of(BasisState(occ, 10), ChainSpec(10, 0.5))
+            want.setdefault(round(e * 8), []).append(occ)   # e is a multiple of 1/8
+        assert [lev.degeneracy for lev in levels] == [len(v) for _, v in sorted(want.items())]
+        assert [lev.representative.occupation for lev in levels] == \
+            [min(v) for _, v in sorted(want.items())]
 
 
 class TestOperators:
