@@ -27,8 +27,7 @@ def main():
     taus = np.linspace(0.0, args.horizon, 200)
     for beta in args.betas:
         params = lb.LindbladParams(spec=ChainSpec(2, beta))
-        traj = lb.integrate(lb.fully_inverted(2), params, taus,
-                            rel_tol=1e-10, abs_tol=1e-14)
+        traj = lb.integrate(lb.fully_inverted(2), params, taus)
         exact = traj.gamma
         analytic = lb.two_atom_analytic(beta, taus).gamma
         out = args.outdir / f"two_atom_beta{beta}.csv"

@@ -116,8 +116,7 @@ def cmd_lindblad(cfg: dict) -> None:
         np.fill_diagonal(omega, 0.0)
     params = lb.LindbladParams(spec=spec, omega_dd=omega, alpha=cfg["alpha"])
     taus = _time_grid(cfg)
-    traj = lb.integrate(lb.fully_inverted(spec.n_atoms), params, taus,
-                        rel_tol=1e-10, abs_tol=1e-14)
+    traj = lb.integrate(lb.fully_inverted(spec.n_atoms), params, taus)
     header = ["tau", "sum_sz", "gamma", "gamma_coh", "gamma_incoh",
               "trace_err", "herm_err", "min_eig"]
     write_csv(cfg["output"], header,

@@ -175,20 +175,15 @@ def build_operators(spec: ChainSpec) -> SpinOperators:
         sp.append(m.astype(complex))
     sm = [m.T.copy() for m in sp]
 
-    gamma_diag = []
-    for i in range(n):
-        if spec.coupling_range == "all_pairs":
-            g = 1.0 - spec.beta * (szd.sum(axis=0) - szd[i])
-        else:
-            nbrs = spec.neighbor_sites(i)
-            g = 1.0 - spec.beta * sum((szd[j] for j in nbrs), np.zeros(dim))
-        gamma_diag.append(g)
+    # Gamma_i = 1 - beta * (sum of S^z over the sites bonded to i); the sums of
+    # +-1/2 are exact in any order
+    bonded = np.zeros((n, n))
+    for i, j in spec.bonds():
+        bonded[i, j] = bonded[j, i] = 1.0
+    gamma_diag = 1.0 - spec.beta * (bonded @ szd)
     gamma = [np.diag(g).astype(complex) for g in gamma_diag]
     gamma3 = [np.diag(g ** 3).astype(complex) for g in gamma_diag]
 
-    h_diag = szd.sum(axis=0).astype(float)
-    for i, j in spec.bonds():
-        h_diag -= spec.beta * szd[i] * szd[j]
-    h_atom = np.diag(h_diag).astype(complex)
+    h_atom = np.diag(energies(spec)).astype(complex)
     return SpinOperators(spec=spec, sz=sz, sp=sp, sm=sm,
                          gamma=gamma, gamma3=gamma3, h_atom=h_atom)

@@ -26,8 +26,7 @@ def test_01_two_atom_oracle():
     worst = 0.0
     for beta in (0.0, 0.1, 0.2):
         params = lb.LindbladParams(spec=ChainSpec(2, beta))
-        traj = lb.integrate(lb.fully_inverted(2), params, taus,
-                            rel_tol=1e-10, abs_tol=1e-14)
+        traj = lb.integrate(lb.fully_inverted(2), params, taus)
         got = traj.gamma
         want = lb.two_atom_analytic(beta, taus).gamma
         worst = max(worst, float(np.max(np.abs(got - want) / np.abs(want))))
@@ -45,8 +44,7 @@ def test_02_dipole_dipole_independence():
     for om in (0.0, 5.0, 50.0):
         omega = np.array([[0.0, om], [om, 0.0]])
         params = lb.LindbladParams(spec=ChainSpec(2, 0.2), omega_dd=omega)
-        traj = lb.integrate(lb.fully_inverted(2), params, taus,
-                            rel_tol=1e-10, abs_tol=1e-14)
+        traj = lb.integrate(lb.fully_inverted(2), params, taus)
         pops.append(np.array([np.real(np.diag(traj.rho(k)))
                               for k in range(traj.taus.size)]))
     spread = max(float(np.max(np.abs(pops[0] - p))) for p in pops[1:])
@@ -60,8 +58,7 @@ def test_03_conservation_suite():
     for n in (2, 3, 4, 5, 6):
         params = lb.LindbladParams(spec=ChainSpec(n, 0.5))
         traj = lb.integrate(lb.fully_inverted(n), params,
-                            np.linspace(0.0, 3.0, 16),
-                            rel_tol=1e-10, abs_tol=1e-13)
+                            np.linspace(0.0, 3.0, 16))
         worst_tr = max(worst_tr, float(traj.trace_err.max()))
         worst_h = max(worst_h, float(traj.herm_err.max()))
     params = mf.MFParams(12, 0.6, horizon=20.0)

@@ -359,6 +359,23 @@ class TestDeterminism:
         assert run(args + ["--output", b]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("beta", [0.25, 0.9])
+    def test_lindblad_independent_of_global_rng(self, tmp_path, beta):
+        # expm_multiply's norm estimates draw from numpy's global RNG; at
+        # beta = 0.9 some draws change its step choice
+        out = tmp_path / "lb.csv"
+        args = ["lindblad", "--n", 6, "--beta", beta, "--omega", 0.5, "--horizon", 5,
+                "--n-samples", 100, "--output", out]
+        runs = []
+        for seed in (0, 1):
+            np.random.seed(seed)
+            state = np.random.get_state()[1].copy()
+            assert run(args) == 0
+            assert np.array_equal(np.random.get_state()[1], state)
+            runs.append((out.read_bytes(), (tmp_path / "lb.csv.meta.json").read_bytes()))
+        assert runs[0] == runs[1]
+        assert json.loads(runs[0][1])["results"]["n_rhs_evals"] > 0
+
     def test_sweep_byte_identical_and_sorted(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["sweep", "--betas", "0.5,0", "--n-range", "4:8"]

@@ -59,18 +59,29 @@ class TestIntegration:
     def test_matches_two_atom_oracle(self):
         p = params(beta=0.2)
         taus = np.linspace(0, 5, 60)
-        traj = integrate(fully_inverted(2), p, taus, rel_tol=1e-10, abs_tol=1e-14)
+        traj = integrate(fully_inverted(2), p, taus)
         got = traj.gamma
         want = two_atom_analytic(0.2, taus).gamma
         assert np.max(np.abs(got - want) / np.abs(want)) < 1e-6
+
+    @pytest.mark.parametrize("beta", [round(0.1 * k, 1) for k in range(9)])
+    def test_two_atom_rate_to_rounding(self, beta):
+        # exact propagation on the sample grid leaves only rounding error
+        taus = np.linspace(0, 5, 200)
+        got = integrate(fully_inverted(2), params(beta=beta), taus).gamma
+        want = two_atom_analytic(beta, taus).gamma
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
+
+    def test_rejects_non_uniform_grid(self):
+        with pytest.raises(ValueError, match="uniformly spaced"):
+            integrate(fully_inverted(2), params(beta=0.2), np.geomspace(0.1, 5.0, 20))
 
     def test_population_observables_alpha_independent(self):
         taus = np.linspace(0, 3, 30)
         runs = []
         for alpha in (1.0, 50.0, 500.0):
             p = params(beta=0.1, alpha=alpha)
-            traj = integrate(fully_inverted(2), p, taus,
-                             rel_tol=1e-10, abs_tol=1e-14)
+            traj = integrate(fully_inverted(2), p, taus)
             runs.append(np.array([np.real(np.diag(traj.rho(k)))
                                   for k in range(traj.taus.size)]))
         assert np.max(np.abs(runs[0] - runs[1])) < 1e-8
@@ -82,8 +93,7 @@ class TestIntegration:
         for om in (0.0, 5.0, 50.0):
             omega = np.array([[0.0, om], [om, 0.0]])
             p = params(beta=0.2, omega_dd=omega)
-            traj = integrate(fully_inverted(2), p, taus,
-                             rel_tol=1e-10, abs_tol=1e-14)
+            traj = integrate(fully_inverted(2), p, taus)
             pops.append(np.array([np.real(np.diag(traj.rho(k)))
                                   for k in range(traj.taus.size)]))
         assert np.max(np.abs(pops[0] - pops[1])) < 1e-8
@@ -93,8 +103,7 @@ class TestIntegration:
         for n, beta in ((2, 0.2), (3, 0.5), (4, 0.9)):
             p = params(n, beta)
             taus = np.linspace(0, 4, 25)
-            traj = integrate(fully_inverted(n), p, taus,
-                             rel_tol=1e-10, abs_tol=1e-13)
+            traj = integrate(fully_inverted(n), p, taus)
             assert traj.trace_err.max() < 1e-10
             assert traj.herm_err.max() < 1e-12
             # the renormalized damping is not of completely positive form, so a
@@ -147,7 +156,7 @@ class TestRates:
     def test_rate_matches_population_decay(self):
         p = params(2, 0.2)
         taus = np.linspace(0, 5, 801)
-        traj = integrate(fully_inverted(2), p, taus, rel_tol=1e-10, abs_tol=1e-14)
+        traj = integrate(fully_inverted(2), p, taus)
         ops = build_operators(p.spec)
         s = np.array([sum_sz(traj.rho(k), ops) for k in range(traj.taus.size)])
         gamma = traj.gamma
@@ -304,7 +313,7 @@ class TestAgainstDenseSolve:
         rho0 = {"inverted": fully_inverted, "tipped": tipped, "cat": cat}[start](n)
         # k != 0 coherences turn at alpha = 50, so those runs are kept short
         taus = np.linspace(0.0, 2.0 if start == "inverted" else 0.5, 21)
-        traj = integrate(rho0, p, taus, rel_tol=1e-10, abs_tol=1e-14)
+        traj = integrate(rho0, p, taus)
         want = dense_integrate(rho0, p, taus)
         for name in ("sum_sz", "gamma", "gamma_incoh"):
             got = getattr(traj, name)
