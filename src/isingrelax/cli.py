@@ -129,6 +129,8 @@ def cmd_lindblad(cfg: dict) -> None:
                 "n_rhs_evals": traj.n_rhs_evals},
                {"n_rhs_evals": traj.n_rhs_evals,
                 "sector_size": traj.sector.size,
+                "group_order": traj.sector.group_order,
+                "orbit_count": traj.sector.n_orbits,
                 "liouville_size": traj.sector.dim ** 2,
                 "worst_min_eig": worst_min_eig,
                 "min_eig_floor": lb.MIN_EIG_FLOOR,

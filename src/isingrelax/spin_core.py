@@ -15,7 +15,7 @@ import numpy as np
 from .errors import ResourceLimitError
 
 SPECTRUM_MAX_ATOMS = 20      # full 2^N enumeration bound
-DENSE_MAX_ATOMS = 8          # dense operator / exact propagation bound
+DENSE_MAX_ATOMS = 8          # dense operator bound (the test oracles' operators)
 DEGENERACY_TOL = 1e-12
 
 
@@ -53,6 +53,13 @@ class ChainSpec:
             return [(i, i + 1) for i in range(n - 1)]
         pairs = {tuple(sorted(((i) % n, (i + 1) % n))) for i in range(n)}
         return sorted(pairs)
+
+    def bond_matrix(self) -> np.ndarray:
+        """(N, N) symmetric 0/1 matrix with a 1 for each bond."""
+        bonded = np.zeros((self.n_atoms, self.n_atoms))
+        for i, j in self.bonds():
+            bonded[i, j] = bonded[j, i] = 1.0
+        return bonded
 
     def neighbor_sites(self, i: int) -> list[int]:
         """Distinct sites coupled to i (for nearest_neighbor range)."""
@@ -108,10 +115,20 @@ def gamma_eigenvalue(state: BasisState, i: int, spec: ChainSpec) -> float:
     return 1.0 - spec.beta * sum(state.sz(j) for j in spec.neighbor_sites(i))
 
 
+def site_bits(n_atoms: int) -> np.ndarray:
+    """(n_atoms, 2^N) array of bit i of every basis index: 1 where atom i is excited."""
+    return (np.arange(1 << n_atoms) >> np.arange(n_atoms)[:, None]) & 1
+
+
 def _diagonal_sz(n_atoms: int) -> np.ndarray:
     """(n_atoms, 2^N) array of S^z eigenvalues per site and basis index."""
-    idx = np.arange(1 << n_atoms)
-    return np.stack([np.where((idx >> i) & 1, 0.5, -0.5) for i in range(n_atoms)])
+    return site_bits(n_atoms) - 0.5
+
+
+def gamma_diagonals(spec: ChainSpec) -> np.ndarray:
+    """(N, 2^N) eigenvalues of Gamma_i = 1 - beta * (sum of S^z over the sites bonded
+    to i) per basis index; the sums of +-1/2 are exact in any order."""
+    return 1.0 - spec.beta * (spec.bond_matrix() @ _diagonal_sz(spec.n_atoms))
 
 
 def energies(spec: ChainSpec) -> np.ndarray:
@@ -174,13 +191,7 @@ def build_operators(spec: ChainSpec) -> SpinOperators:
         m[lower | (1 << i), lower] = 1.0
         sp.append(m.astype(complex))
     sm = [m.T.copy() for m in sp]
-
-    # Gamma_i = 1 - beta * (sum of S^z over the sites bonded to i); the sums of
-    # +-1/2 are exact in any order
-    bonded = np.zeros((n, n))
-    for i, j in spec.bonds():
-        bonded[i, j] = bonded[j, i] = 1.0
-    gamma_diag = 1.0 - spec.beta * (bonded @ szd)
+    gamma_diag = gamma_diagonals(spec)
     gamma = [np.diag(g).astype(complex) for g in gamma_diag]
     gamma3 = [np.diag(g ** 3).astype(complex) for g in gamma_diag]
 

@@ -182,7 +182,7 @@ class TestLindbladCommand:
         assert all(a >= b - 1e-12 for a, b in zip(gammas, gammas[1:]))
 
     def test_resource_cap_exits_3(self, tmp_path):
-        assert run(["lindblad", "--n", 9, "--output", tmp_path / "x.csv"]) == 3
+        assert run(["lindblad", "--n", 11, "--output", tmp_path / "x.csv"]) == 3
 
     def test_eight_atoms_finish_in_bounded_time(self, tmp_path):
         # 2.2 s on a 2-vCPU host with one BLAS thread; the full dim^2 solve took 35 s
@@ -195,6 +195,19 @@ class TestLindbladCommand:
         assert meta["diagnostics"]["sector_size"] == 12870
         assert meta["diagnostics"]["liouville_size"] == 65536
 
+    def test_group_and_orbit_diagnostics(self, tmp_path):
+        out, meta_path = tmp_path / "lb.csv", tmp_path / "lb.csv.meta.json"
+        argv = ["lindblad", "--n", 6, "--beta", 0.3, "--omega", 0.5, "--horizon", 2,
+                "--n-samples", 20, "--output", out]
+        assert run(argv) == 0
+        first = (out.read_bytes(), meta_path.read_bytes())
+        diagnostics = json.loads(first[1])["diagnostics"]
+        assert (diagnostics["group_order"], diagnostics["orbit_count"],
+                diagnostics["sector_size"]) == (12, 96, 924)
+        assert all(type(diagnostics[k]) is int for k in ("group_order", "orbit_count"))
+        assert run(argv) == 0
+        assert (out.read_bytes(), meta_path.read_bytes()) == first
+
     def test_diagnostics_flag_min_eig_without_failing(self, tmp_path):
         out = tmp_path / "lb.csv"
         argv = ["lindblad", "--n", 4, "--beta", 0.3, "--horizon", 2,
@@ -206,7 +219,7 @@ class TestLindbladCommand:
         worst = min(float(r["min_eig"]) for r in read_rows(out))
         assert meta["diagnostics"] == {
             "n_rhs_evals": meta["results"]["n_rhs_evals"], "sector_size": 70,
-            "liouville_size": 256, "worst_min_eig": worst, "min_eig_floor": -1e-8,
+            "group_order": 8, "orbit_count": 15, "liouville_size": 256, "worst_min_eig": worst, "min_eig_floor": -1e-8,
             "min_eig_below_floor": True}
         assert worst < -1e-8
         assert run(argv) == 0

@@ -3,14 +3,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
+from isingrelax import lindblad
 from isingrelax.errors import ModelValidityError, ResourceLimitError
 from isingrelax.lindblad import (HERM_TOL, TRACE_TOL, LindbladParams, _Work,
                                  build_operators, excitation_sector, fully_inverted,
                                  generator, integrate, lindblad_rhs,
                                  observable_functional, order_parameter_exact,
-                                 rate_split, relaxation_rate, sum_sz,
+                                 rate_split, relaxation_rate, site_group, sum_sz,
                                  two_atom_analytic)
-from isingrelax.spin_core import ChainSpec
+from isingrelax.spin_core import ChainSpec, site_bits
 
 
 def params(n=2, beta=0.0, **kw):
@@ -128,7 +129,14 @@ class TestIntegration:
 
     def test_rejects_large_chain(self):
         with pytest.raises(ResourceLimitError):
-            params(9, 0.1)
+            params(11, 0.1)
+
+    def test_dense_oracle_keeps_its_cap(self):
+        p = params(9, 0.1)          # inside the exact solver's cap
+        with pytest.raises(ResourceLimitError):
+            build_operators(p.spec)
+        with pytest.raises(ResourceLimitError):
+            _Work(p)
 
     def test_rejects_asymmetric_omega(self):
         with pytest.raises(ValueError):
@@ -187,7 +195,11 @@ CHAINS = [("nearest_neighbor", "cyclic"), ("nearest_neighbor", "open"),
 
 def chain_params(n, beta, chain, omega):
     om = None
-    if omega:
+    if isinstance(omega, str):          # "random": a symmetric matrix with no symmetry
+        m = np.random.default_rng(n).normal(size=(n, n))
+        om = 0.5 * (m + m.T)
+        np.fill_diagonal(om, 0.0)
+    elif omega:
         om = np.full((n, n), omega)
         np.fill_diagonal(om, 0.0)
     return LindbladParams(spec=ChainSpec(n, beta, *chain), omega_dd=om)
@@ -206,6 +218,14 @@ def tipped(n, theta=0.7, phi=0.3):
     site = np.array([np.sin(theta / 2), np.exp(1j * phi) * np.cos(theta / 2)])
     for _ in range(n):
         psi = np.kron(site, psi)
+    return np.outer(psi, psi.conj())
+
+
+def tipped_by_count(n, theta=0.7, phi=0.3):
+    """The state of `tipped` with each amplitude taken from the excitation count
+    alone, so that entries which a site permutation exchanges are bit-equal."""
+    count = site_bits(n).sum(axis=0)
+    psi = np.sin(theta / 2) ** (n - count) * (np.exp(1j * phi) * np.cos(theta / 2)) ** count
     return np.outer(psi, psi.conj())
 
 
@@ -333,3 +353,79 @@ class TestAgainstDenseSolve:
     def test_rejects_state_of_wrong_size(self):
         with pytest.raises(ValueError, match="8x8"):
             integrate(fully_inverted(2), params(3, 0.1), np.linspace(0.0, 1.0, 3))
+
+
+class TestOrbits:
+    @pytest.mark.parametrize("n,chain,order,orbits", [
+        (6, CHAINS[0], 12, 96), (8, CHAINS[0], 16, 865), (6, CHAINS[1], 2, 472),
+        (6, CHAINS[2], 12, 96), (3, CHAINS[1], 2, 12), (1, CHAINS[0], 1, 2)])
+    def test_full_inversion_group_and_orbits(self, n, chain, order, orbits):
+        p = chain_params(n, 0.3, chain, 0.5)
+        sector = excitation_sector(fully_inverted(n), site_group(p, fully_inverted(n)))
+        assert (sector.group_order, sector.n_orbits) == (order, orbits)
+        sizes = np.bincount(sector.orbit)
+        assert sizes.sum() == sector.size and sizes.max() <= 2 * n
+        # each representative is the smallest entry of its orbit
+        assert np.array_equal(sector.orbit[sector.reps], np.arange(sector.n_orbits))
+        assert np.all(np.diff(sector.reps) > 0)
+
+    def test_group_keeps_only_what_is_invariant(self):
+        n = 5
+        ring = chain_params(n, 0.3, CHAINS[0], 0.5)
+        assert np.array_equal(site_group(ring, fully_inverted(n))[0], np.arange(n))
+        assert len(site_group(ring, fully_inverted(n))) == 10
+        assert len(site_group(chain_params(n, 0.3, CHAINS[0], "random"),
+                              fully_inverted(n))) == 1
+        assert len(site_group(ring, random_rho(1 << n, 2))) == 1
+        # one excited atom at site 0: only the reflections through site 0 keep it
+        rho = np.zeros((1 << n, 1 << n), dtype=complex)
+        rho[1, 1] = 1.0
+        assert site_group(ring, rho).tolist() == [[0, 1, 2, 3, 4], [0, 4, 3, 2, 1]]
+
+    def test_identity_group_is_the_sector(self):
+        sector = excitation_sector(tipped(3))
+        assert sector.group_order == 1
+        assert np.array_equal(sector.reps, np.arange(sector.size))
+        assert np.array_equal(sector.orbit, np.arange(sector.size))
+
+    def test_states_expand_on_access(self):
+        n = 6
+        traj = integrate(fully_inverted(n), chain_params(n, 0.4, CHAINS[0], 0.5),
+                         np.linspace(0.0, 1.0, 7))
+        assert "states" not in vars(traj)
+        assert traj.reduced.shape == (96, 7)
+        assert traj.states.shape == (924, 7)
+        assert np.array_equal(traj.states, traj.reduced[traj.sector.orbit])
+
+
+ORBIT_CASES = ([(n, chain, omega, start) for n in (2, 3, 4, 5, 6) for chain in CHAINS
+                for omega in (0.0, 0.5, "random") for start in ("inverted", "tipped", "random")]
+               # at N = 8 the identity path of a tipped or random start holds all
+               # 65,536 entries, and a random omega leaves only the identity
+               + [(8, chain, omega, "inverted") for chain in CHAINS for omega in (0.0, 0.5)])
+
+
+@pytest.mark.parametrize("n,chain,omega,start", ORBIT_CASES,
+                         ids=["-".join(map(str, (n, *chain, omega, start)))
+                              for n, chain, omega, start in ORBIT_CASES])
+def test_reduced_matches_identity_group(monkeypatch, n, chain, omega, start):
+    # k != 0 coherences turn at alpha = 50, so those runs are kept short
+    taus = np.linspace(0.0, 1.0, 11) if start == "inverted" else np.linspace(0.0, 0.1, 6)
+    p = chain_params(n, 0.35, chain, omega)
+    rho0 = {"inverted": fully_inverted, "tipped": tipped_by_count,
+            "random": lambda n: random_rho(1 << n, n)}[start](n)
+    traj = integrate(rho0, p, taus)
+    with monkeypatch.context() as m:
+        m.setattr(lindblad, "site_group", lambda params, rho: np.arange(n)[None])
+        want = integrate(rho0, p, taus)
+    assert want.sector.group_order == 1
+    if start == "random" or (omega == "random" and n > 2):
+        assert traj.sector.group_order == 1
+    else:
+        assert traj.sector.group_order == (2 if chain == CHAINS[1] or n == 2 else 2 * n)
+    assert np.array_equal(traj.rho(0), rho0)
+    for name in ("sum_sz", "gamma", "gamma_incoh"):
+        got, ref = getattr(traj, name), getattr(want, name)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), name
+    for name in ("trace_err", "herm_err", "min_eig"):
+        assert np.max(np.abs(getattr(traj, name) - getattr(want, name))) <= 1e-12, name
