@@ -159,9 +159,10 @@ def rabi_frequency_from_populations(times: np.ndarray, p_dd: np.ndarray) -> floa
     p = np.asarray(p_dd, dtype=float)
     if times.size < 2:
         raise ValueError(f"FFT extraction needs at least two samples, got {times.size}")
+    steps = np.diff(times)
+    if not (steps.min() > 0 and np.ptp(steps) <= 1e-9 * steps.max()):
+        raise ValueError("FFT extraction needs a strictly increasing, uniform time grid")
     dt = times[1] - times[0]
-    if not np.allclose(np.diff(times), dt, rtol=1e-9):
-        raise ValueError("FFT extraction needs a uniform time grid")
     spec = np.abs(np.fft.rfft(p - p.mean()))
     freqs = np.fft.rfftfreq(p.size, d=dt)
     k = int(np.argmax(spec[1:])) + 1

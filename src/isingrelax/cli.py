@@ -215,8 +215,12 @@ def cmd_geometry(cfg: dict) -> None:
     if missing:
         raise ValueError(f"geometry file {cfg['geometry']} must hold a JSON object "
                          f"with positions_k0r and dipole; missing {', '.join(missing)}")
-    geom = geo.AtomGeometry(positions=np.asarray(data["positions_k0r"], dtype=float),
-                            dipole=np.asarray(data["dipole"], dtype=float))
+    try:
+        positions, dipole = (np.asarray(data[k], dtype=float) for k in ("positions_k0r", "dipole"))
+    except TypeError as exc:
+        raise ValueError(f"geometry file {cfg['geometry']}: positions_k0r and dipole must be "
+                         f"arrays of numbers ({exc})") from None
+    geom = geo.AtomGeometry(positions=positions, dipole=dipole)
     table = geo.coefficient_table(geom)
     write_csv(cfg["output"], list(table), table.values())
     write_meta(cfg["output"], "geometry", cfg, {"n_pairs": table["i"].size})

@@ -7,7 +7,7 @@ cyclic; for N=3 the n+2 stencil wraps onto n-1 by plain modular arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 import math
 
@@ -111,7 +111,7 @@ def _couplings(sz, zp, zm, zpp, zmm, beta: float) -> dict:
     """coupling_functions from sigma_z at n and at n+1, n-1, n+2, n-2."""
     b = beta
     gamma = 1.0 - b * (zp + zm)
-    gamma3 = 1.0 - b * (3.0 + b * b) * (zp + zm) + 1.5 * b * b * (1.0 + 4.0 * zp * zm)
+    gamma3 = _gamma3(zp, zm, b)
     k_plus = 1.0 + b * (3.0 + 3.0 * b + b * b) * (0.5 - zpp)
     k_minus = 1.0 + b * (3.0 + 3.0 * b + b * b) * (0.5 - zmm)
     # E_{n+-1} is the expansion of Gamma^3_{n+-1} sigma^z_n using (S^z)^2 = 1/4;
@@ -124,6 +124,11 @@ def _couplings(sz, zp, zm, zpp, zmm, beta: float) -> dict:
     return {"gamma": gamma, "gamma3": gamma3,
             "k_plus": k_plus, "k_minus": k_minus,
             "e_plus": e_plus, "e_minus": e_minus}
+
+
+def _gamma3(zp, zm, b: float):
+    """Gamma^3_n from sigma_z at n+1 and n-1."""
+    return 1.0 - b * (3.0 + b * b) * (zp + zm) + 1.5 * b * b * (1.0 + 4.0 * zp * zm)
 
 
 def w_factor(gamma_i, gamma_j):
@@ -235,18 +240,43 @@ def gamma_at_half_deexcitation(traj: MFTrajectory) -> float:
     rate keeps growing as the chain relaxes, so gain factors are measured
     here instead.
     """
-    s = traj.sum_sz
-    crossings = np.where((s[:-1] > 0.0) & (s[1:] <= 0.0))[0]
-    if crossings.size == 0:
+    value = float(_first_fall(traj.sum_sz, traj.gamma))
+    if math.isnan(value):
         raise ValueError("trajectory never reaches half de-excitation")
-    k = int(crossings[0])
-    frac = s[k] / (s[k] - s[k + 1])
-    return float(traj.gamma[k] + frac * (traj.gamma[k + 1] - traj.gamma[k]))
+    return value
+
+
+def _first_fall(y, x, level: float = 0.0):
+    """x interpolated linearly where each column of y (one row per x) first falls from
+    above level to at or below it; NaN where it never does, as with under two rows."""
+    y = np.asarray(y, dtype=float)
+    cols = y if y.ndim > 1 else y[:, None]
+    falls = (cols[:-1] > level) & (cols[1:] <= level)
+    out = np.full(cols.shape[1], np.nan)
+    hit = np.flatnonzero(falls.any(axis=0))
+    if hit.size:
+        x = np.asarray(x)
+        k = np.argmax(falls[:, hit], axis=0)
+        a, b = cols[k, hit], cols[k + 1, hit]
+        out[hit] = x[k] + (a - level) / (a - b) * (x[k + 1] - x[k])
+    return out if y.ndim > 1 else out[0]
 
 
 def _unpack(y: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(sigma_z, sigma_plus) from the solver state [sigma_z, Re sigma_plus, Im sigma_plus]."""
     return y[:n], y[n:2 * n] + 1j * y[2 * n:]
+
+
+def _rk45(what: str, rhs, y0, horizon: float, n_samples: int, rtol: float, atol: float,
+          event=None, dense: bool = False):
+    """RK45 over [0, horizon] sampled on n_samples even points; stops where event falls to 0."""
+    if event is not None:
+        event.terminal, event.direction = True, -1
+    sol = solve_ivp(rhs, (0.0, horizon), y0, t_eval=np.linspace(0.0, horizon, n_samples),
+                    method="RK45", rtol=rtol, atol=atol, events=event, dense_output=dense)
+    if not sol.success:
+        raise IntegrationError(f"{what} integration failed: {sol.message}")
+    return sol
 
 
 def _solve(field0: BlochField, params: MFParams, n_samples: int, uniform: bool,
@@ -276,17 +306,11 @@ def _solve(field0: BlochField, params: MFParams, n_samples: int, uniform: bool,
 
     def relaxed(_t, y):
         return (n // m) * y[:m].sum() - (-0.5 * n + 0.01 * n)
-    relaxed.terminal = True
-    relaxed.direction = -1
 
     y0 = np.concatenate([field0.sigma_z[:m], field0.sigma_plus[:m].real,
                          field0.sigma_plus[:m].imag])
-    sol = solve_ivp(rhs, (0.0, params.horizon), y0,
-                    t_eval=np.linspace(0.0, params.horizon, n_samples),
-                    method="RK45", rtol=REL_TOL, atol=ABS_TOL,
-                    events=[relaxed] if stop_when_relaxed else None, dense_output=True)
-    if not sol.success:
-        raise IntegrationError(f"mean-field integration failed: {sol.message}")
+    sol = _rk45("mean-field", rhs, y0, params.horizon, n_samples, REL_TOL, ABS_TOL,
+                relaxed if stop_when_relaxed else None, dense=True)
     szs, sps = _unpack(sol.y, m)
     return sol, szs.T.copy(), sps.T.copy()
 
@@ -315,17 +339,14 @@ def integrate_mf(field0: BlochField, params: MFParams, n_samples: int = 400) -> 
 
     # the superradiant peak is narrower than the sample spacing for large N;
     # refine it on the dense solution around the best sample
-    k = int(np.argmax(gammas))
-    lo = taus[max(k - 1, 0)]
-    hi = taus[min(k + 1, taus.size - 1)]
-    gamma_max, t_peak = gammas[k], taus[k]
+    j = int(np.argmax(gammas))
+    gamma_max, t_peak, grid = gammas[j], taus[j], taus
     for _ in range(3):
-        fine = np.linspace(lo, hi, 33)
-        vals = _rates(np.column_stack([sol.sol(tt) for tt in fine]), n, params.beta, uniform)
+        grid = np.linspace(grid[max(j - 1, 0)], grid[min(j + 1, grid.size - 1)], 33)
+        vals = _rates(np.column_stack([sol.sol(tt) for tt in grid]), n, params.beta, uniform)
         j = int(np.argmax(vals))
         if vals[j] > gamma_max:
-            gamma_max, t_peak = float(vals[j]), float(fine[j])
-        lo, hi = fine[max(j - 1, 0)], fine[min(j + 1, fine.size - 1)]
+            gamma_max, t_peak = float(vals[j]), float(grid[j])
     # (n_samples, N) views: a uniform run stores one column, not N copies
     shape = (taus.size, n)
     return MFTrajectory(taus=taus, sigma_z=np.broadcast_to(szs, shape),
@@ -348,9 +369,7 @@ def order_parameter_run(params: MFParams, n_samples: int = 2000) -> float:
     coarse, _, _ = _solve(field0, params, 200, uniform, stop_when_relaxed=True)
     t_end = coarse.t_events[0][0] if coarse.t_events[0].size else params.horizon
     window = min(params.horizon, 1.2 * float(t_end))
-    dense_params = MFParams(params.n_atoms, params.beta, theta0=params.theta0,
-                            phase_seed=params.phase_seed, horizon=window)
-    dense, szs, sps = _solve(field0, dense_params, n_samples, uniform)
+    dense, szs, sps = _solve(field0, replace(params, horizon=window), n_samples, uniform)
     if uniform:
         return _uniform_order_parameter(dense.t, szs[:, 0], sps[:, 0],
                                         params.n_atoms, params.beta)
@@ -361,10 +380,11 @@ def order_parameter_mf(taus: np.ndarray, sigma_z: np.ndarray, sigma_plus: np.nda
                        beta: float) -> float:
     """Time-averaged coherent/incoherent rate ratio of sampled states (one row per tau)."""
     numer, denom = np.empty(len(taus)), np.empty(len(taus))
+    ip, im = _ring(sigma_z.shape[-1])[:2]
     for lo in range(0, len(taus), ORDER_PARAMETER_CHUNK):
         rows = slice(lo, lo + ORDER_PARAMETER_CHUNK)
         sz, sp = sigma_z[rows], sigma_plus[rows]
-        gamma3 = coupling_functions(sz, beta)["gamma3"]
+        gamma3 = _gamma3(sz[:, ip], sz[:, im], beta)
         sm = sp.conj()
         coh = gamma3 * sp * (sm.sum(axis=-1, keepdims=True) - sm)
         numer[rows] = 2.0 * np.real(np.sum(coh, axis=-1))
@@ -376,7 +396,7 @@ def order_parameter_mf(taus: np.ndarray, sigma_z: np.ndarray, sigma_plus: np.nda
 def _uniform_order_parameter(taus: np.ndarray, s: np.ndarray, x: np.ndarray,
                              n_atoms: int, beta: float) -> float:
     """order_parameter_mf of site-uniform samples: the ratio is 2 (N-1) |x|^2 / (1 + 2 s)."""
-    denom = n_atoms * (1.0 + 2.0 * s) * _couplings(s, s, s, s, s, beta)["gamma3"]
+    denom = n_atoms * (1.0 + 2.0 * s) * _gamma3(s, s, beta)
     keep = ~(denom < DENOM_FLOOR)     # the same floor on the same N-site denominator
     return _time_average(taus, keep,
                          2.0 * (n_atoms - 1) * np.abs(x[keep]) ** 2 / (1.0 + 2.0 * s[keep]))
@@ -394,11 +414,9 @@ def _time_average(taus: np.ndarray, keep: np.ndarray, ratio: np.ndarray) -> floa
 def crossing(ns, order_parameters) -> float | None:
     """First N at which the order parameter rises through 1, linear between grid
     points; None when it does not cross on this grid."""
-    for i in range(len(ns) - 1):
-        lo, hi = order_parameters[i], order_parameters[i + 1]
-        if lo < 1.0 <= hi:
-            return ns[i] + (1.0 - lo) / (hi - lo) * (ns[i + 1] - ns[i])
-    return None
+    # a rise through 1 is a fall of the negated series through -1, same arithmetic
+    n_c = float(_first_fall(-np.asarray(order_parameters, dtype=float), ns, -1.0))
+    return None if math.isnan(n_c) else n_c
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +425,7 @@ def crossing(ns, order_parameters) -> float | None:
 
 def gamma3_mean(beta: float, s: float | np.ndarray):
     """<Gamma^3> of the homogeneous chain as a function of the mean sigma_z."""
-    return 1.0 - 2.0 * beta * (3.0 + beta * beta) * s \
-        + 1.5 * beta * beta * (1.0 + 4.0 * s * s)
+    return _gamma3(s, s, beta)
 
 
 @dataclass
@@ -420,34 +437,25 @@ class PulseResult:
     t_peak: float
 
 
-def _integrate_scalar(deriv, horizon: float, n_samples: int,
-                      s0: float = 0.5, stop_at: float = -0.5) -> tuple[np.ndarray, np.ndarray]:
-    def rhs(_t, y):
-        return [deriv(y[0])]
-
-    def floor_event(_t, y):
-        return y[0] - stop_at
-    floor_event.terminal = True
-    floor_event.direction = -1
-
-    sol = solve_ivp(rhs, (0.0, horizon), [s0], t_eval=np.linspace(0.0, horizon, n_samples),
-                    method="RK45", rtol=1e-10, atol=1e-12, events=floor_event)
-    if not sol.success:
-        raise IntegrationError(f"reduced ODE integration failed: {sol.message}")
-    return sol.t, sol.y[0]
+def _reduced_pulse(beta: float, n_atoms: int, horizon: float, n_samples: int,
+                   rate: float, shape) -> PulseResult:
+    """d s/dt = -rate shape(s) <Gamma^3>(s) from s = 1/2 until s = -1/2, with gamma =
+    -N ds/dt and its peak taken at the largest sample."""
+    if beta >= 1.0:
+        raise ModelValidityError(f"requires beta < 1, got {beta}")
+    sol = _rk45("reduced ODE", lambda _t, y: [-rate * shape(y[0]) * gamma3_mean(beta, y[0])],
+                [0.5], horizon, n_samples, 1e-10, 1e-12, lambda _t, y: y[0] + 0.5)
+    t, s = sol.t, sol.y[0]
+    gamma = n_atoms * rate * shape(s) * gamma3_mean(beta, s)
+    k = int(np.argmax(gamma))
+    return PulseResult(times=t, sz=s, gamma=gamma, gamma_max=float(gamma[k]),
+                       t_peak=float(t[k]))
 
 
 def collective_pulse(beta: float, n_atoms: int, horizon: float = 20.0,
                      n_samples: int = 2000) -> PulseResult:
     """Incoherent-channel pulse: d s/dt = -(1+2s) <Gamma^3>, gamma = -N ds/dt."""
-    if beta >= 1.0:
-        raise ModelValidityError(f"requires beta < 1, got {beta}")
-    t, s = _integrate_scalar(lambda v: -(1.0 + 2.0 * v) * gamma3_mean(beta, v),
-                             horizon, n_samples)
-    gamma = n_atoms * (1.0 + 2.0 * s) * gamma3_mean(beta, s)
-    k = int(np.argmax(gamma))
-    return PulseResult(times=t, sz=s, gamma=gamma,
-                       gamma_max=float(gamma[k]), t_peak=float(t[k]))
+    return _reduced_pulse(beta, n_atoms, horizon, n_samples, 1.0, lambda v: 1.0 + 2.0 * v)
 
 
 def coherent_pulse(beta: float, n_atoms: int, horizon: float = 10.0,
@@ -456,21 +464,11 @@ def coherent_pulse(beta: float, n_atoms: int, horizon: float = 10.0,
 
     The rate peaks where s crosses zero; gamma_max is reported there.
     """
-    if beta >= 1.0:
-        raise ModelValidityError(f"requires beta < 1, got {beta}")
-    nn = float(n_atoms)
-    t, s = _integrate_scalar(lambda v: -nn * (1.5 - 2.0 * v * v) * gamma3_mean(beta, v),
-                             horizon, n_samples)
-    gamma = nn * nn * (1.5 - 2.0 * s * s) * gamma3_mean(beta, s)
-    gamma_max = 1.5 * nn * nn * gamma3_mean(beta, 0.0)
-    crossing = np.nonzero(np.diff(np.signbit(s)))[0]
-    if crossing.size:
-        k = crossing[0]
-        frac = s[k] / (s[k] - s[k + 1])
-        t_peak = float(t[k] + frac * (t[k + 1] - t[k]))
-    else:
-        t_peak = float(t[int(np.argmax(gamma))])
-    return PulseResult(times=t, sz=s, gamma=gamma, gamma_max=gamma_max, t_peak=t_peak)
+    res = _reduced_pulse(beta, n_atoms, horizon, n_samples, float(n_atoms),
+                         lambda v: 1.5 - 2.0 * v * v)
+    t_peak = float(_first_fall(res.sz, res.times))
+    return replace(res, gamma_max=1.5 * n_atoms * n_atoms * gamma3_mean(beta, 0.0),
+                   t_peak=res.t_peak if math.isnan(t_peak) else t_peak)
 
 
 def longrange_polynomial(beta: float, n_atoms: int, s):
@@ -551,30 +549,15 @@ def soliton_ring(n_atoms: int = 20, beta: float = 0.99, defect_site: int = 0,
         raise ValueError("defect_site out of range")
     sz0 = np.full(n_atoms, 0.5)
     sz0[defect_site] = -0.5
+    ip, im = _ring(n_atoms)[:2]
 
     def rhs(_t, sz):
-        gamma3 = coupling_functions(sz, beta)["gamma3"]
-        return -(1.0 + 2.0 * sz) * gamma3
+        return -(1.0 + 2.0 * sz) * _gamma3(sz[..., ip], sz[..., im], beta)
 
     def all_relaxed(_t, sz):
-        others = np.delete(sz, defect_site)
-        return float(np.max(others)) + 0.499
-    all_relaxed.terminal = True
-    all_relaxed.direction = -1
+        return float(np.max(np.delete(sz, defect_site))) + 0.499
 
-    sol = solve_ivp(rhs, (0.0, horizon), sz0, t_eval=np.linspace(0.0, horizon, n_samples),
-                    method="RK45", rtol=1e-10, atol=1e-12, events=all_relaxed)
-    if not sol.success:
-        raise IntegrationError(f"soliton integration failed: {sol.message}")
-    t = sol.t
+    sol = _rk45("soliton", rhs, sz0, horizon, n_samples, 1e-10, 1e-12, all_relaxed)
     szs = sol.y.T.copy()
-    gamma = -rhs(0.0, szs).sum(axis=1)
-    trans = np.full(n_atoms, np.nan)
-    # first sample interval in which each site's sigma_z changes sign
-    flips = np.diff(np.signbit(szs), axis=0)
-    sites = np.flatnonzero(flips.any(axis=0))
-    if sites.size:
-        k = np.argmax(flips[:, sites], axis=0)
-        a, b = szs[k, sites], szs[k + 1, sites]
-        trans[sites] = t[k] + a / (a - b) * (t[k + 1] - t[k])
-    return SolitonResult(times=t, sigma_z=szs, gamma=gamma, transition_times=trans)
+    return SolitonResult(times=sol.t, sigma_z=szs, gamma=-rhs(0.0, szs).sum(axis=1),
+                         transition_times=_first_fall(szs, sol.t))

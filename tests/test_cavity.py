@@ -137,3 +137,11 @@ class TestRabiExtraction:
         t = np.array([0.0, 1.0, 3.0, 4.0])
         with pytest.raises(ValueError):
             rabi_frequency_from_populations(t, np.zeros(4))
+
+    @pytest.mark.parametrize("t", [np.array([0.0, 1.0, 3.0, 4.0, 6.0]) * 1e-9,
+                                   np.linspace(1.0, 0.0, 5), np.zeros(5),
+                                   np.array([0.0, 1.0, np.nan, 3.0, 4.0])])
+    def test_rejects_tiny_decreasing_or_nan_grids(self, t):
+        # steps of 1e-9 and 2e-9 differ by less than allclose's default atol
+        with pytest.raises(ValueError, match="strictly increasing"):
+            rabi_frequency_from_populations(t, np.zeros(5))

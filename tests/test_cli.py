@@ -259,6 +259,8 @@ class TestMeanfieldCommand:
     ["soliton", "--beta", "-0.5"],
     ["sweep", "--betas", ","],
     ["geometry", "--geometry", "{dipole_only_file}"],
+    ["geometry", "--geometry", "{object_positions_file}"],
+    ["geometry", "--geometry", "{object_dipole_file}"],
 ])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv):
     list_file = tmp_path / "list.json"
@@ -267,8 +269,14 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv):
     str_n_file.write_text('{"n": "6"}')
     dipole_only_file = tmp_path / "dipole_only.json"
     dipole_only_file.write_text('{"dipole": [0, 0, 1]}')
+    object_positions_file = tmp_path / "object_positions.json"
+    object_positions_file.write_text('{"positions_k0r": {"x": 0}, "dipole": [0, 0, 1]}')
+    object_dipole_file = tmp_path / "object_dipole.json"
+    object_dipole_file.write_text('{"positions_k0r": [[0, 0, 0]], "dipole": {"z": 1}}')
     argv = [a.format(list_file=list_file, str_n_file=str_n_file,
-                     dipole_only_file=dipole_only_file) for a in argv]
+                     dipole_only_file=dipole_only_file,
+                     object_positions_file=object_positions_file,
+                     object_dipole_file=object_dipole_file) for a in argv]
     assert run(argv + ["--output", tmp_path / "x.csv"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -355,6 +355,23 @@ class TestOrderParameter:
         assert crossing([8, 16], [1.0, 1.2]) is None       # starts at 1, never rises through
         assert crossing([8, 16, 32], [0.2, 0.4, 0.6]) is None
 
+    def test_crossing_edge_cases(self):
+        assert crossing([8, 16, 32], [0.2, 0.4, 1.4]) == pytest.approx(16 + 0.6 * 16)
+        assert crossing([8, 16, 32], [0.5, 1.0, 1.2]) == 16.0    # lands exactly on 1
+        assert crossing([8], [1.5]) is None
+        assert crossing([], []) is None
+
+    @given(ops=st.lists(st.floats(0.0, 2.0) | st.just(1.0), max_size=8))
+    def test_crossing_equals_scalar_loop(self, ops):
+        ns = [8 * 2 ** k for k in range(len(ops))]
+        want = None
+        for i in range(len(ns) - 1):
+            lo, hi = ops[i], ops[i + 1]
+            if lo < 1.0 <= hi:
+                want = ns[i] + (1.0 - lo) / (hi - lo) * (ns[i + 1] - ns[i])
+                break
+        assert crossing(ns, ops) == want
+
     def test_increases_with_chain_length(self):
         values = [order_parameter_run(MFParams(n, 0.0, theta0=0.4))
                   for n in (4, 8, 16, 32, 64)]
@@ -475,7 +492,44 @@ class TestReducedPulses:
         for beta in (0.0, 0.4, 0.9):
             for s in (-0.5, -0.1, 0.0, 0.25, 0.5):
                 cf = coupling_functions(np.full(4, s), beta)
-                assert gamma3_mean(beta, s) == pytest.approx(cf["gamma3"][0])
+                assert gamma3_mean(beta, s) == cf["gamma3"][0]
+
+
+class TestFirstFall:
+    """The first-crossing rule shared by gamma_at_half_deexcitation, coherent_pulse,
+    soliton_ring and crossing."""
+
+    def test_no_crossing_is_nan(self):
+        assert math.isnan(meanfield._first_fall([0.5, 0.4, 0.1], [0.0, 1.0, 2.0]))
+        # a rise through the level is not a fall
+        assert math.isnan(meanfield._first_fall([-0.1, 0.3, 0.2], [0.0, 1.0, 2.0]))
+
+    def test_crossing_in_last_interval(self):
+        assert meanfield._first_fall([0.5, 0.2, -0.2], [0.0, 1.0, 3.0]) == 2.0
+
+    def test_sample_exactly_at_the_level(self):
+        # falling onto the level ends the fall at that sample ...
+        assert meanfield._first_fall([0.5, 0.0, -0.5], [0.0, 1.0, 2.0]) == 1.0
+        assert meanfield._first_fall([3.0, 1.0, 2.0, 0.0], [0, 10, 20, 30], level=1.0) == 10.0
+        # ... while a start on the level is not above it
+        assert math.isnan(meanfield._first_fall([0.0, -0.5], [0.0, 1.0]))
+
+    def test_fewer_than_two_samples_is_nan(self):
+        assert math.isnan(meanfield._first_fall([], []))
+        assert math.isnan(meanfield._first_fall([0.5], [1.0]))
+        one_row = meanfield._first_fall(np.full((1, 3), 0.5), [1.0])
+        assert one_row.shape == (3,) and np.isnan(one_row).all()
+
+    def test_columns_fall_independently(self):
+        y = np.array([[0.5, 0.5, -0.5], [0.1, -0.5, -0.5], [-0.1, -0.4, -0.5]])
+        got = meanfield._first_fall(y, [0.0, 1.0, 2.0])
+        assert got[0] == 1.5 and got[1] == 0.5 and math.isnan(got[2])
+
+    def test_half_deexcitation_needs_a_crossing(self):
+        traj = integrate_mf(initial_field(MFParams(8, 0.3, horizon=0.05)),
+                            MFParams(8, 0.3, horizon=0.05), n_samples=20)
+        with pytest.raises(ValueError, match="half de-excitation"):
+            gamma_at_half_deexcitation(traj)
 
 
 class TestLongRange:
