@@ -14,7 +14,10 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
+from .errors import check_positive, check_uniform_grid
+
 STRONG_COUPLING_VALIDITY = 0.3   # warn above this value of g*sqrt(2(2n+3))/J'
+POLE_TOL = 1e-12                 # two_photon_prefactor's distance from its pole
 
 
 @dataclass(frozen=True)
@@ -26,8 +29,7 @@ class CavityParams:
     def __post_init__(self):
         if self.n_photons < 0:
             raise ValueError(f"n_photons must be non-negative, got {self.n_photons}")
-        if not (math.isfinite(self.g) and self.g > 0):
-            raise ValueError(f"g must be finite and positive, got {self.g}")
+        check_positive("g", self.g)
         if not (math.isfinite(self.j_prime) and self.j_prime >= 0):
             raise ValueError(f"j_prime must be finite and non-negative, got {self.j_prime}")
 
@@ -54,7 +56,6 @@ class CavityParams:
 @dataclass(frozen=True)
 class CavityState:
     amplitudes: np.ndarray   # complex, shape (..., 4): one row of 4 per time
-    t: float | np.ndarray
     validity_warning: bool = False
 
     def __post_init__(self):
@@ -97,7 +98,7 @@ def exact_state(t, params: CavityParams) -> CavityState:
     c_dd = phase * math.sqrt((n + 1) * (n + 2)) * (
         g * g / d * osc - np.exp(1j * jp * t) / (2 * n + 3))
     c_mid = -1j * phase * g * math.sqrt(n + 1) / d * np.sin(d * t)
-    return CavityState(amplitudes=np.stack([c_uu, c_mid, c_mid, c_dd], axis=-1), t=t)
+    return CavityState(amplitudes=np.stack([c_uu, c_mid, c_mid, c_dd], axis=-1))
 
 
 def numeric_oracle(t: float, params: CavityParams) -> CavityState:
@@ -105,7 +106,7 @@ def numeric_oracle(t: float, params: CavityParams) -> CavityState:
     h = block_hamiltonian(params)
     psi0 = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
     psi = expm(-1j * h * t) @ psi0
-    return CavityState(amplitudes=psi, t=t)
+    return CavityState(amplitudes=psi)
 
 
 def strong_j_state(t, params: CavityParams) -> CavityState:
@@ -121,7 +122,7 @@ def strong_j_state(t, params: CavityParams) -> CavityState:
     c_dd = phase * 2j * math.sqrt((n + 1) * (n + 2)) / (2 * n + 3) * np.sin(delta * t)
     zero = np.zeros_like(c_uu)
     warn = params.strong_coupling_ratio > STRONG_COUPLING_VALIDITY
-    return CavityState(amplitudes=np.stack([c_uu, zero, zero, c_dd], axis=-1), t=t,
+    return CavityState(amplitudes=np.stack([c_uu, zero, zero, c_dd], axis=-1),
                        validity_warning=warn)
 
 
@@ -137,15 +138,14 @@ class TwoPhotonRate:
     resonant: bool   # whether 2*omega = 2*omega0 (the delta-function condition)
 
 
-def two_photon_prefactor(beta: float, omega: float, m1: float, m2: float,
-                         pole_tol: float = 1e-12) -> TwoPhotonRate:
+def two_photon_prefactor(beta: float, omega: float, m1: float, m2: float) -> TwoPhotonRate:
     """Second-order two-photon transition prefactor (omega in omega0 units).
 
     The delta function fixing 2*omega = 2*omega0 is reported as the resonance
     flag, not folded into the value.
     """
     denom = (1.0 - beta / 2.0) - omega
-    if abs(denom) < pole_tol:
+    if abs(denom) < POLE_TOL:
         raise ZeroDivisionError(
             "omega sits on the one-photon intermediate resonance omega0*(1-beta/2)")
     value = abs(m1 / denom + m2 / denom) ** 2
@@ -155,13 +155,8 @@ def two_photon_prefactor(beta: float, omega: float, m1: float, m2: float,
 def rabi_frequency_from_populations(times: np.ndarray, p_dd: np.ndarray) -> float:
     """Dominant oscillation extracted by FFT; returns half the angular frequency
     of p_dd(t) (p ~ sin^2 oscillates at twice the Rabi frequency)."""
-    times = np.asarray(times, dtype=float)
+    times = check_uniform_grid(times, "FFT extraction")
     p = np.asarray(p_dd, dtype=float)
-    if times.size < 2:
-        raise ValueError(f"FFT extraction needs at least two samples, got {times.size}")
-    steps = np.diff(times)
-    if not (steps.min() > 0 and np.ptp(steps) <= 1e-9 * steps.max()):
-        raise ValueError("FFT extraction needs a strictly increasing, uniform time grid")
     dt = times[1] - times[0]
     spec = np.abs(np.fft.rfft(p - p.mean()))
     freqs = np.fft.rfftfreq(p.size, d=dt)

@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
 
 from . import __version__
-from .errors import IntegrationError, ModelValidityError, ResourceLimitError
+from .errors import IntegrationError, ModelValidityError, ResourceLimitError, sample_grid
 from .spin_core import ChainSpec, energy_levels
 from . import lindblad as lb
 from . import meanfield as mf
@@ -84,13 +83,6 @@ def parse_float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"bad float list {text!r}: {exc}") from exc
 
 
-def _time_grid(cfg: dict) -> np.ndarray:
-    """n_samples points on [0, horizon]; the horizon must be finite and positive."""
-    if not (math.isfinite(cfg["horizon"]) and cfg["horizon"] > 0):
-        raise ValueError(f"horizon must be finite and positive, got {cfg['horizon']}")
-    return np.linspace(0.0, cfg["horizon"], cfg["n_samples"])
-
-
 # --------------------------------------------------------------------------
 # subcommand implementations; each takes the resolved config dict
 
@@ -115,7 +107,7 @@ def cmd_lindblad(cfg: dict) -> None:
         omega = np.full((spec.n_atoms, spec.n_atoms), float(cfg["omega"]))
         np.fill_diagonal(omega, 0.0)
     params = lb.LindbladParams(spec=spec, omega_dd=omega, alpha=cfg["alpha"])
-    taus = _time_grid(cfg)
+    taus = sample_grid(cfg["horizon"], cfg["n_samples"])
     traj = lb.integrate(lb.fully_inverted(spec.n_atoms), params, taus)
     header = ["tau", "sum_sz", "gamma", "gamma_coh", "gamma_incoh",
               "trace_err", "herm_err", "min_eig"]
@@ -184,7 +176,7 @@ def cmd_soliton(cfg: dict) -> None:
 def cmd_cavity(cfg: dict) -> None:
     params = cv.CavityParams(n_photons=cfg["n_photons"], g=cfg["g"],
                              j_prime=cfg["jprime"])
-    times = _time_grid(cfg)
+    times = sample_grid(cfg["horizon"], cfg["n_samples"])
     state = cv.exact_state(times, params)
     pops = state.populations
     header = ["t", "p_uu", "p_mid", "p_dd", "norm"]

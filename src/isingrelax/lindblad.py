@@ -49,13 +49,14 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, expm_multiply
 
-from .errors import ModelValidityError, ResourceLimitError
+from .errors import ResourceLimitError, check_born_markov, check_uniform_grid
 from .spin_core import (ChainSpec, SpinOperators, build_operators, energies, gamma_diagonals,
                         site_bits)
 
 TRACE_TOL = 1e-10
 HERM_TOL = 1e-12
 MIN_EIG_FLOOR = -1e-8
+INCOH_FLOOR = 1e-14          # order_parameter_exact drops samples below this incoherent rate
 EXACT_MAX_ATOMS = 10         # orbit-reduced exact propagation bound
 
 
@@ -70,9 +71,7 @@ class LindbladParams:
     def __post_init__(self):
         if not math.isfinite(self.alpha):
             raise ValueError(f"alpha must be finite, got {self.alpha}")
-        if self.spec.beta >= 1.0:
-            raise ModelValidityError(
-                f"master equation requires beta < 1 (Born-Markov), got {self.spec.beta}")
+        check_born_markov(self.spec.beta)
         if self.spec.n_atoms > EXACT_MAX_ATOMS:
             raise ResourceLimitError(
                 f"exact propagation capped at {EXACT_MAX_ATOMS} atoms, "
@@ -373,14 +372,15 @@ def observable_functional(params: LindbladParams, sector: Sector,
                      for f in per_entry], axis=1)
 
 
-def _check_rho(rho: np.ndarray, dim: int):
-    if rho.shape != (dim, dim):
-        raise ValueError(f"initial state must be {dim}x{dim}, got {rho.shape}")
-    tr = np.trace(rho)
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise ValueError(f"initial state trace {tr} deviates from 1 beyond {TRACE_TOL}")
-    if np.max(np.abs(rho - rho.conj().T)) > HERM_TOL:
-        raise ValueError("initial state is not Hermitian to tolerance")
+def _trace_herm_err(sector: Sector, reduced: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|tr rho - 1| and max |rho - rho^H| of the rho in each column of reduced: rho is zero
+    outside the sector, and the representatives' transposes stand for their orbits'."""
+    reps = sector.reps
+    diagonal = sector.rows[reps] == sector.cols[reps]
+    weight = np.bincount(sector.orbit)[diagonal, None]
+    transpose = sector.orbit[sector.transpose[reps]]
+    return (np.abs((weight * reduced[diagonal]).sum(axis=0) - 1.0),
+            np.max(np.abs(reduced - reduced[transpose].conj()), axis=0, initial=0.0))
 
 
 def fully_inverted(n_atoms: int) -> np.ndarray:
@@ -394,14 +394,16 @@ def fully_inverted(n_atoms: int) -> np.ndarray:
 def integrate(rho0: np.ndarray, params: LindbladParams, tau_grid: np.ndarray) -> Trajectory:
     """rho0's excitation sector propagated exactly over the uniform tau_grid, one value
     per orbit of `site_group`; `n_rhs_evals` counts the generator-vector products."""
-    _check_rho(rho0, params.spec.dim)
-    tau_grid = np.asarray(tau_grid, dtype=float)
-    if tau_grid.size < 2 or not np.all(np.isfinite(tau_grid)):
-        raise ValueError("tau_grid needs at least two finite samples")
-    steps = np.diff(tau_grid)
-    if steps.min() <= 0 or np.ptp(steps) > 1e-9 * steps.max():
-        raise ValueError("tau_grid must be strictly increasing and uniformly spaced")
+    dim = params.spec.dim
+    if rho0.shape != (dim, dim):
+        raise ValueError(f"initial state must be {dim}x{dim}, got {rho0.shape}")
+    tau_grid = check_uniform_grid(tau_grid, "tau_grid")
     sector = excitation_sector(rho0, site_group(params, rho0))
+    y0 = sector.vector(rho0)
+    (trace_err,), (herm_err,) = _trace_herm_err(sector, y0[:, None])
+    if not (trace_err <= TRACE_TOL and herm_err <= HERM_TOL):
+        raise ValueError(f"initial state needs trace 1 and Hermiticity to {TRACE_TOL} and "
+                         f"{HERM_TOL}; its errors are {trace_err:.3g} and {herm_err:.3g}")
     ops = _sparse_operators(params)
     gen = generator(params, sector, ops)
     adjoint = gen.conj().T
@@ -420,21 +422,17 @@ def integrate(rho0: np.ndarray, params: LindbladParams, tau_grid: np.ndarray) ->
     caller_rng = np.random.get_state()
     np.random.seed(0)
     try:
-        reduced = expm_multiply(op, sector.vector(rho0), start=0.0,
+        reduced = expm_multiply(op, y0, start=0.0,
                                 stop=tau_grid[-1] - tau_grid[0], num=tau_grid.size,
                                 endpoint=True, traceA=gen.diagonal().sum().real).T
     finally:
         np.random.set_state(caller_rng)
     obs = np.real(reduced.T @ observable_functional(params, sector, ops))
-    reps = sector.reps
-    diagonal = sector.rows[reps] == sector.cols[reps]
-    weight = np.bincount(sector.orbit)[diagonal, None]
-    transpose = sector.orbit[sector.transpose[reps]]
+    trace_err, herm_err = _trace_herm_err(sector, reduced)
     return Trajectory(
         taus=tau_grid.copy(), sector=sector, reduced=reduced,
         sum_sz=obs[:, 0], gamma=obs[:, 1], gamma_incoh=obs[:, 2],
-        trace_err=np.abs((weight * reduced[diagonal]).sum(axis=0) - 1.0),
-        herm_err=np.max(np.abs(reduced - reduced[transpose].conj()), axis=0),
+        trace_err=trace_err, herm_err=herm_err,
         min_eig=sector.min_eig(reduced), n_rhs_evals=n_products)
 
 
@@ -474,12 +472,11 @@ class OrderParameterValue:
     excluded_samples: int
 
 
-def order_parameter_exact(traj: Trajectory, horizon: float,
-                          incoh_floor: float = 1e-14) -> OrderParameterValue:
+def order_parameter_exact(traj: Trajectory, horizon: float) -> OrderParameterValue:
     """Time average over [0, horizon] of coherent/incoherent rate by trapezoid."""
     mask = traj.taus <= horizon + 1e-12
     incoh = traj.gamma_incoh[mask]
-    drop = incoh < incoh_floor
+    drop = incoh < INCOH_FLOOR
     excluded = int(np.count_nonzero(drop))
     keep = ~drop
     taus = traj.taus[mask][keep]
@@ -503,8 +500,7 @@ class TwoAtomSolution:
 
 def two_atom_analytic(beta: float, t: float | np.ndarray) -> TwoAtomSolution:
     """Exactly solvable two-atom relaxation; independent of the dipole-dipole constant."""
-    if not 0.0 <= beta < 1.0:
-        raise ModelValidityError(f"two-atom solution requires 0 <= beta < 1, got {beta}")
+    check_born_markov(beta)
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("t must be non-negative")

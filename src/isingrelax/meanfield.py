@@ -14,7 +14,7 @@ import math
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import IntegrationError, ModelValidityError
+from .errors import IntegrationError, check_born_markov, check_positive, sample_grid
 
 BOUND_SLACK = 1e-6
 DENOM_FLOOR = 1e-14
@@ -59,15 +59,8 @@ class MFParams:
     def __post_init__(self):
         if self.n_atoms < 2:
             raise ValueError("mean-field chain needs at least 2 atoms")
-        if not math.isfinite(self.beta) or self.beta < 0:
-            raise ValueError(f"beta must be finite and non-negative, got {self.beta}")
-        if self.theta0 is not None and not math.isfinite(self.theta0):
-            raise ValueError(f"tipping angle must be finite, got {self.theta0}")
-        if not (math.isfinite(self.horizon) and self.horizon > 0):
-            raise ValueError(f"horizon must be finite and positive, got {self.horizon}")
-        if self.beta >= 1.0:
-            raise ModelValidityError(
-                f"mean-field equations require beta < 1, got {self.beta}")
+        check_born_markov(self.beta)
+        check_positive("horizon", self.horizon)
         theta = self.tipping_angle
         if not 0.0 < theta <= math.pi / 2:
             raise ValueError(f"tipping angle must be in (0, pi/2], got {theta}")
@@ -155,8 +148,7 @@ def mf_rhs(field: BlochField, beta: float) -> tuple[np.ndarray, np.ndarray]:
     Hermitian weight w[i, j] = w_factor(Gamma_i, Gamma_j); the nearest-neighbor
     entries come from one O(N) w_factor call.
     """
-    if beta >= 1.0:
-        raise ModelValidityError(f"mean-field equations require beta < 1, got {beta}")
+    check_born_markov(beta)
     sz, sp = field.sigma_z, field.sigma_plus
     sm = sp.conj()
     n = sz.size
@@ -202,8 +194,7 @@ def uniform_mf_rhs(s, x, n_atoms: int, beta: float):
     the neighbor sides coincide (one distinct side on the N = 2 ring).  s and
     x are scalars or arrays of states.
     """
-    if beta >= 1.0:
-        raise ModelValidityError(f"mean-field equations require beta < 1, got {beta}")
+    check_born_markov(beta)
     c = _couplings(s, s, s, s, s, beta)
     gamma3, k, e = c["gamma3"], c["k_plus"], c["e_plus"]
     n_sides = len({1 % n_atoms, -1 % n_atoms})
@@ -269,10 +260,10 @@ def _unpack(y: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _rk45(what: str, rhs, y0, horizon: float, n_samples: int, rtol: float, atol: float,
           event=None, dense: bool = False):
-    """RK45 over [0, horizon] sampled on n_samples even points; stops where event falls to 0."""
+    """RK45 over [0, horizon] sampled on sample_grid; stops where event falls to 0."""
     if event is not None:
         event.terminal, event.direction = True, -1
-    sol = solve_ivp(rhs, (0.0, horizon), y0, t_eval=np.linspace(0.0, horizon, n_samples),
+    sol = solve_ivp(rhs, (0.0, horizon), y0, t_eval=sample_grid(horizon, n_samples),
                     method="RK45", rtol=rtol, atol=atol, events=event, dense_output=dense)
     if not sol.success:
         raise IntegrationError(f"{what} integration failed: {sol.message}")
@@ -290,8 +281,6 @@ def _solve(field0: BlochField, params: MFParams, n_samples: int, uniform: bool,
     have shape (n_samples, m).  With stop_when_relaxed the solve ends once
     sum sigma_z < -N/2 + 0.01 N (the end of the active window).
     """
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     n = field0.n_atoms
     m = 1 if uniform else n
 
@@ -441,8 +430,7 @@ def _reduced_pulse(beta: float, n_atoms: int, horizon: float, n_samples: int,
                    rate: float, shape) -> PulseResult:
     """d s/dt = -rate shape(s) <Gamma^3>(s) from s = 1/2 until s = -1/2, with gamma =
     -N ds/dt and its peak taken at the largest sample."""
-    if beta >= 1.0:
-        raise ModelValidityError(f"requires beta < 1, got {beta}")
+    check_born_markov(beta)
     sol = _rk45("reduced ODE", lambda _t, y: [-rate * shape(y[0]) * gamma3_mean(beta, y[0])],
                 [0.5], horizon, n_samples, 1e-10, 1e-12, lambda _t, y: y[0] + 0.5)
     t, s = sol.t, sol.y[0]
@@ -473,6 +461,7 @@ def coherent_pulse(beta: float, n_atoms: int, horizon: float = 10.0,
 
 def longrange_polynomial(beta: float, n_atoms: int, s):
     """All-pairs <Gamma^3> analogue: cubic polynomial in the mean sigma_z."""
+    check_born_markov(beta)
     b, nm1 = beta, n_atoms - 1
     s = np.asarray(s, dtype=float)
     p = (1.0 + 0.75 * nm1 * b * b
@@ -538,15 +527,10 @@ class SolitonResult:
 def soliton_ring(n_atoms: int = 20, beta: float = 0.99, defect_site: int = 0,
                  horizon: float = 50.0, n_samples: int = 2000) -> SolitonResult:
     """Site-resolved incoherent relaxation of a ring seeded with one ground-state defect."""
-    if not math.isfinite(beta) or beta < 0:
-        raise ValueError(f"beta must be finite and non-negative, got {beta}")
-    if beta >= 1.0:
-        raise ModelValidityError(f"requires beta < 1, got {beta}")
-    if n_atoms < 2 or n_samples < 1 or not (math.isfinite(horizon) and horizon > 0):
-        raise ValueError(f"soliton ring needs n_atoms >= 2, n_samples >= 1 and a finite "
-                         f"positive horizon, got {n_atoms}, {n_samples}, {horizon}")
-    if not 0 <= defect_site < n_atoms:
-        raise ValueError("defect_site out of range")
+    check_born_markov(beta)
+    if not 0 <= defect_site < n_atoms or n_atoms < 2:
+        raise ValueError(f"soliton ring needs n_atoms >= 2 and a defect_site in [0, n_atoms), "
+                         f"got {n_atoms} and {defect_site}")
     sz0 = np.full(n_atoms, 0.5)
     sz0[defect_site] = -0.5
     ip, im = _ring(n_atoms)[:2]

@@ -8,11 +8,10 @@ dense matrix equals the bitmask integer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-import math
 
 import numpy as np
 
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, check_coupling
 
 SPECTRUM_MAX_ATOMS = 20      # full 2^N enumeration bound
 DENSE_MAX_ATOMS = 8          # dense operator bound (the test oracles' operators)
@@ -31,8 +30,7 @@ class ChainSpec:
     def __post_init__(self):
         if self.n_atoms < 1:
             raise ValueError(f"n_atoms must be >= 1, got {self.n_atoms}")
-        if not math.isfinite(self.beta) or self.beta < 0:
-            raise ValueError(f"beta must be finite and non-negative, got {self.beta}")
+        check_coupling(self.beta)
         if self.coupling_range not in ("nearest_neighbor", "all_pairs"):
             raise ValueError(f"unknown coupling_range {self.coupling_range!r}")
         if self.boundary not in ("cyclic", "open"):

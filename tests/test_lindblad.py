@@ -354,6 +354,24 @@ class TestAgainstDenseSolve:
         with pytest.raises(ValueError, match="8x8"):
             integrate(fully_inverted(2), params(3, 0.1), np.linspace(0.0, 1.0, 3))
 
+    @pytest.mark.parametrize("start", ["non-Hermitian", "wrong trace", "all zero",
+                                       "complex diagonal", "non-Hermitian coherence"])
+    def test_rejects_unphysical_start(self, start):
+        rho0 = tipped(3)
+        if start == "non-Hermitian":
+            rho0[7, 0] += 1e-9
+        elif start == "wrong trace":
+            rho0 = 0.5 * rho0
+        elif start == "all zero":
+            rho0 = np.zeros_like(rho0)
+        elif start == "complex diagonal":
+            rho0[5, 5] += 1e-9j
+        else:
+            rho0 = fully_inverted(3)
+            rho0[7, 3] = 0.1
+        with pytest.raises(ValueError, match="initial state"):
+            integrate(rho0, params(3, 0.1), np.linspace(0.0, 1.0, 3))
+
 
 class TestOrbits:
     @pytest.mark.parametrize("n,chain,order,orbits", [

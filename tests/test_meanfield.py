@@ -7,6 +7,7 @@ from scipy.integrate import solve_ivp
 
 from isingrelax import meanfield
 from isingrelax.errors import ModelValidityError
+from isingrelax.lindblad import LindbladParams, two_atom_analytic
 from isingrelax.meanfield import (DENOM_FLOOR, BlochField, MFParams, coherent_pulse,
                                   collective_pulse, coupling_functions, crossing,
                                   gamma3_mean, gamma_at_half_deexcitation,
@@ -16,6 +17,7 @@ from isingrelax.meanfield import (DENOM_FLOOR, BlochField, MFParams, coherent_pu
                                   order_parameter_mf, order_parameter_run,
                                   site_uniform, soliton_ring, uniform_mf_rhs,
                                   w_factor)
+from isingrelax.spin_core import ChainSpec
 
 
 def per_sample_order_parameter(taus, sigma_z, sigma_plus, beta):
@@ -209,6 +211,52 @@ class TestMFParams:
         f = initial_field(MFParams(8, 0.3, theta0=0.7, phase_seed=5))
         r2 = f.sigma_z ** 2 + np.abs(f.sigma_plus) ** 2
         assert np.allclose(r2, 0.25, atol=1e-12)
+
+
+def _field(n=4):
+    return BlochField(np.full(n, 0.3), np.full(n, 0.2 + 0.1j))
+
+
+# every entry point that holds only for J < hbar omega0, called with beta
+BORN_MARKOV_CALLS = {
+    "MFParams": lambda b: MFParams(4, b),
+    "LindbladParams": lambda b: LindbladParams(ChainSpec(2, b)),
+    "soliton_ring": lambda b: soliton_ring(n_atoms=6, beta=b, horizon=1.0, n_samples=5),
+    "collective_pulse": lambda b: collective_pulse(b, 10),
+    "coherent_pulse": lambda b: coherent_pulse(b, 10),
+    "two_atom_analytic": lambda b: two_atom_analytic(b, 1.0),
+    "mf_rhs": lambda b: mf_rhs(_field(), b),
+    "uniform_mf_rhs": lambda b: uniform_mf_rhs(0.3, 0.2 + 0.1j, 4, b),
+    "longrange_rate": lambda b: longrange_rate(b, 10),
+}
+# entry points that sample an RK45 solve, called with (horizon, n_samples)
+GRID_CALLS = {
+    "collective_pulse": lambda h, k: collective_pulse(0.5, 10, horizon=h, n_samples=k),
+    "coherent_pulse": lambda h, k: coherent_pulse(0.5, 10, horizon=h, n_samples=k),
+    "soliton_ring": lambda h, k: soliton_ring(n_atoms=6, beta=0.5, horizon=h, n_samples=k),
+    "integrate_mf": lambda h, k: integrate_mf(_field(), MFParams(4, 0.5, horizon=h), n_samples=k),
+}
+BAD_BETAS = (math.nan, math.inf, -0.5)
+RULE_CASES = (
+    [pytest.param(call, b, ValueError, id=f"{name}-beta={b}")
+     for name, call in {**BORN_MARKOV_CALLS, "ChainSpec": lambda b: ChainSpec(4, b)}.items()
+     for b in BAD_BETAS]
+    + [pytest.param(call, 1.0, ModelValidityError, id=f"{name}-beta=1")
+       for name, call in BORN_MARKOV_CALLS.items()]
+    + [pytest.param(lambda h, call=call: call(h, 5), h, ValueError, id=f"{name}-horizon={h}")
+       for name, call in GRID_CALLS.items() for h in (0.0, -1.0, math.nan, math.inf)]
+    + [pytest.param(lambda k, call=call: call(1.0, k), 0, ValueError, id=f"{name}-n_samples=0")
+       for name, call in GRID_CALLS.items()])
+
+
+@pytest.mark.parametrize("call,value,error", RULE_CASES)
+def test_input_rule(time_limit, call, value, error):
+    """Each entry point applies the same beta, horizon and sample-count rules; a bad
+    beta is an argument error (exit 2), not a model-validity one (exit 3)."""
+    time_limit(5)
+    with pytest.raises(ValueError) as caught:
+        call(value)
+    assert caught.type is error
 
 
 class TestRHS:

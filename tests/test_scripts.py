@@ -25,3 +25,11 @@ def test_script_writes_csv(tmp_path, monkeypatch, script, args, outputs):
     for name in outputs:
         lines = (tmp_path / name).read_text().splitlines()
         assert len(lines) >= 2
+
+
+def test_superradiant_gain_rejects_nan_beta(tmp_path, monkeypatch, time_limit):
+    time_limit(10)
+    monkeypatch.setattr(sys, "argv", ["superradiant_gain.py", "--outdir", str(tmp_path),
+                                      "--betas", "nan"])
+    with pytest.raises(ValueError):
+        runpy.run_path(str(SCRIPTS / "superradiant_gain.py"), run_name="__main__")
