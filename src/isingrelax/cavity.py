@@ -14,7 +14,7 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import check_positive, check_uniform_grid
+from .errors import check_nonnegative, check_positive, check_uniform_grid
 
 STRONG_COUPLING_VALIDITY = 0.3   # warn above this value of g*sqrt(2(2n+3))/J'
 POLE_TOL = 1e-12                 # two_photon_prefactor's distance from its pole
@@ -30,8 +30,7 @@ class CavityParams:
         if self.n_photons < 0:
             raise ValueError(f"n_photons must be non-negative, got {self.n_photons}")
         check_positive("g", self.g)
-        if not (math.isfinite(self.j_prime) and self.j_prime >= 0):
-            raise ValueError(f"j_prime must be finite and non-negative, got {self.j_prime}")
+        check_nonnegative("j_prime", self.j_prime)
 
     @property
     def rabi_splitting(self) -> float:
@@ -42,7 +41,7 @@ class CavityParams:
     def two_photon_rabi(self) -> float:
         """Delta = g^2 (2n+3) / (2 J') of the strong-interaction regime."""
         if self.j_prime == 0:
-            raise ZeroDivisionError("Delta undefined at j_prime = 0")
+            raise ValueError("strong-interaction approximation needs j_prime > 0")
         return self.g ** 2 * (2 * self.n_photons + 3) / (2.0 * self.j_prime)
 
     @property
@@ -112,8 +111,6 @@ def numeric_oracle(t: float, params: CavityParams) -> CavityState:
 def strong_j_state(t, params: CavityParams) -> CavityState:
     """Two-amplitude approximation valid for J' >> g sqrt(2n+3); t scalar or array."""
     n, jp = params.n_photons, params.j_prime
-    if jp == 0:
-        raise ValueError("strong-interaction approximation needs j_prime > 0")
     delta = params.two_photon_rabi
     t = np.asarray(t, dtype=float)
     phase = np.exp(-1j * ((n + 1) - jp - delta) * t)

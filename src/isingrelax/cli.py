@@ -157,8 +157,11 @@ def cmd_sweep(cfg: dict) -> None:
             rows_per_path["uniform" if uniform else "sites"] += 1
             rows.append((beta, n, mf.order_parameter_run(params)))
     rows.sort(key=lambda r: (r[0], r[1]))
-    write_csv(cfg["output"], ["beta", "n", "order_parameter"], zip(*rows))
-    write_meta(cfg["output"], "sweep", cfg, {"n_rows": len(rows)},
+    beta_col, n_col, value_col = (np.asarray(c) for c in zip(*rows))
+    write_csv(cfg["output"], ["beta", "n", "order_parameter"], [beta_col, n_col, value_col])
+    n_c = {repr(float(b)): mf.crossing(n_col[beta_col == b], value_col[beta_col == b])
+           for b in np.unique(beta_col)}
+    write_meta(cfg["output"], "sweep", cfg, {"n_c": n_c, "n_rows": len(rows)},
                {"rows_per_mf_path": rows_per_path})
 
 

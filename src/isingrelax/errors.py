@@ -1,5 +1,5 @@
-"""Exception types and the input rules every module shares: check_coupling,
-check_born_markov, check_positive, sample_grid and check_uniform_grid.
+"""Exception types and the input rules every module shares: the check_* functions
+and sample_grid.
 
 The CLI maps these onto exit codes: a ValueError exits 2 like an argparse error,
 ResourceLimitError / ModelValidityError exit 3, IntegrationError exit 4.
@@ -24,8 +24,7 @@ class IntegrationError(RuntimeError):
 
 def check_coupling(beta: float) -> None:
     """beta = J/(hbar omega0) is finite and non-negative."""
-    if not 0 <= beta < math.inf:
-        raise ValueError(f"beta must be finite and non-negative, got {beta}")
+    check_nonnegative("beta", beta)
 
 
 def check_born_markov(beta: float) -> None:
@@ -35,9 +34,19 @@ def check_born_markov(beta: float) -> None:
         raise ModelValidityError(f"relaxation equations require beta < 1 (Born-Markov), got {beta}")
 
 
+def check_nonnegative(name: str, value: float) -> None:
+    if not 0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and non-negative, got {value}")
+
+
 def check_positive(name: str, value: float) -> None:
     if not 0 < value < math.inf:       # an int of any size compares without overflow
         raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
+def check_atom_cap(what: str, n_atoms: int, cap: int) -> None:
+    if n_atoms > cap:
+        raise ResourceLimitError(f"{what} capped at {cap} atoms, got {n_atoms}")
 
 
 def sample_grid(horizon: float, n_samples: int) -> np.ndarray:

@@ -49,14 +49,13 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, expm_multiply
 
-from .errors import ResourceLimitError, check_born_markov, check_uniform_grid
+from .errors import check_atom_cap, check_born_markov, check_uniform_grid
 from .spin_core import (ChainSpec, SpinOperators, build_operators, energies, gamma_diagonals,
                         site_bits)
 
 TRACE_TOL = 1e-10
 HERM_TOL = 1e-12
 MIN_EIG_FLOOR = -1e-8
-INCOH_FLOOR = 1e-14          # order_parameter_exact drops samples below this incoherent rate
 EXACT_MAX_ATOMS = 10         # orbit-reduced exact propagation bound
 
 
@@ -72,10 +71,7 @@ class LindbladParams:
         if not math.isfinite(self.alpha):
             raise ValueError(f"alpha must be finite, got {self.alpha}")
         check_born_markov(self.spec.beta)
-        if self.spec.n_atoms > EXACT_MAX_ATOMS:
-            raise ResourceLimitError(
-                f"exact propagation capped at {EXACT_MAX_ATOMS} atoms, "
-                f"got {self.spec.n_atoms}")
+        check_atom_cap("exact propagation", self.spec.n_atoms, EXACT_MAX_ATOMS)
         if self.omega_dd is not None:
             om = np.asarray(self.omega_dd, dtype=float)
             n = self.spec.n_atoms
@@ -269,9 +265,8 @@ class Trajectory:
 class _Work:
     """Dense operator combinations of the oracle right-hand side."""
 
-    def __init__(self, params: LindbladParams, ops: SpinOperators | None = None):
-        ops = ops or build_operators(params.spec)
-        self.ops = ops
+    def __init__(self, params: LindbladParams):
+        ops = build_operators(params.spec)
         n = params.spec.n_atoms
         self.sp_tot = sum(ops.sp)
         self.sm_tot = sum(ops.sm)
@@ -466,26 +461,35 @@ def sum_sz(rho: np.ndarray, ops: SpinOperators) -> float:
     return float(np.real(np.trace(rho @ sum(ops.sz))))
 
 
+RATIO_FLOOR = 1e-14      # ratio_average drops samples below this incoherent rate
+
+
 @dataclass(frozen=True)
 class OrderParameterValue:
     value: float
     excluded_samples: int
 
 
-def order_parameter_exact(traj: Trajectory, horizon: float) -> OrderParameterValue:
-    """Time average over [0, horizon] of coherent/incoherent rate by trapezoid."""
-    mask = traj.taus <= horizon + 1e-12
-    incoh = traj.gamma_incoh[mask]
-    drop = incoh < INCOH_FLOOR
+def ratio_average(taus: np.ndarray, ratio: np.ndarray, incoh: np.ndarray) -> OrderParameterValue:
+    """Trapezoid mean over taus of the coherent/incoherent rate ratio, dropping and counting
+    the samples whose incoherent rate is below RATIO_FLOOR (NaN rows stay, as a NaN mean);
+    0.0 with fewer than two kept samples or a zero span."""
+    drop = np.asarray(incoh) < RATIO_FLOOR
     excluded = int(np.count_nonzero(drop))
-    keep = ~drop
-    taus = traj.taus[mask][keep]
+    taus = np.asarray(taus)[~drop]
     if taus.size < 2:
         return OrderParameterValue(0.0, excluded)
-    ratios = traj.gamma_coh[mask][keep] / incoh[keep]
     span = taus[-1] - taus[0]
-    value = float(np.trapezoid(ratios, taus) / span) if span > 0 else 0.0
+    value = float(np.trapezoid(np.asarray(ratio)[~drop], taus) / span) if span > 0 else 0.0
     return OrderParameterValue(value, excluded)
+
+
+def order_parameter_exact(traj: Trajectory, horizon: float) -> OrderParameterValue:
+    """ratio_average of the trajectory's coherent/incoherent rates over [0, horizon]."""
+    mask = traj.taus <= horizon + 1e-12
+    incoh = traj.gamma_incoh[mask]
+    with np.errstate(all="ignore"):     # rows under the floor may divide by 0
+        return ratio_average(traj.taus[mask], traj.gamma_coh[mask] / incoh, incoh)
 
 
 @dataclass(frozen=True)

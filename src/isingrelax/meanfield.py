@@ -15,9 +15,9 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import IntegrationError, check_born_markov, check_positive, sample_grid
+from .lindblad import ratio_average
 
 BOUND_SLACK = 1e-6
-DENOM_FLOOR = 1e-14
 REL_TOL, ABS_TOL = 1e-8, 1e-10      # mean-field solver tolerances
 ORDER_PARAMETER_CHUNK = 256         # sample rows per vectorised order-parameter pass
 
@@ -367,7 +367,7 @@ def order_parameter_run(params: MFParams, n_samples: int = 2000) -> float:
 
 def order_parameter_mf(taus: np.ndarray, sigma_z: np.ndarray, sigma_plus: np.ndarray,
                        beta: float) -> float:
-    """Time-averaged coherent/incoherent rate ratio of sampled states (one row per tau)."""
+    """ratio_average of the coherent/incoherent rates of sampled states (one row per tau)."""
     numer, denom = np.empty(len(taus)), np.empty(len(taus))
     ip, im = _ring(sigma_z.shape[-1])[:2]
     for lo in range(0, len(taus), ORDER_PARAMETER_CHUNK):
@@ -378,26 +378,17 @@ def order_parameter_mf(taus: np.ndarray, sigma_z: np.ndarray, sigma_plus: np.nda
         coh = gamma3 * sp * (sm.sum(axis=-1, keepdims=True) - sm)
         numer[rows] = 2.0 * np.real(np.sum(coh, axis=-1))
         denom[rows] = np.sum((1.0 + 2.0 * sz) * gamma3, axis=-1)
-    keep = ~(denom < DENOM_FLOOR)     # NaN rows stay in, as a NaN average
-    return _time_average(taus, keep, numer[keep] / denom[keep])
+    with np.errstate(all="ignore"):     # rows under the floor may divide by 0
+        return ratio_average(taus, numer / denom, denom).value
 
 
 def _uniform_order_parameter(taus: np.ndarray, s: np.ndarray, x: np.ndarray,
                              n_atoms: int, beta: float) -> float:
-    """order_parameter_mf of site-uniform samples: the ratio is 2 (N-1) |x|^2 / (1 + 2 s)."""
-    denom = n_atoms * (1.0 + 2.0 * s) * _gamma3(s, s, beta)
-    keep = ~(denom < DENOM_FLOOR)     # the same floor on the same N-site denominator
-    return _time_average(taus, keep,
-                         2.0 * (n_atoms - 1) * np.abs(x[keep]) ** 2 / (1.0 + 2.0 * s[keep]))
-
-
-def _time_average(taus: np.ndarray, keep: np.ndarray, ratio: np.ndarray) -> float:
-    """Trapezoid mean of ratio over the kept sample times; 0 with fewer than two."""
-    if np.count_nonzero(keep) < 2:
-        return 0.0
-    taus = np.asarray(taus)[keep]
-    span = taus[-1] - taus[0]
-    return float(np.trapezoid(ratio, taus) / span) if span > 0 else 0.0
+    """order_parameter_mf of site-uniform samples: the ratio is 2 (N-1) |x|^2 / (1 + 2 s),
+    and the floor applies to the N-site incoherent rate."""
+    with np.errstate(all="ignore"):     # rows under the floor may divide by 0
+        return ratio_average(taus, 2.0 * (n_atoms - 1) * np.abs(x) ** 2 / (1.0 + 2.0 * s),
+                             n_atoms * (1.0 + 2.0 * s) * _gamma3(s, s, beta)).value
 
 
 def crossing(ns, order_parameters) -> float | None:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ResourceLimitError, check_coupling
+from .errors import check_atom_cap, check_coupling
 
 SPECTRUM_MAX_ATOMS = 20      # full 2^N enumeration bound
 DENSE_MAX_ATOMS = 8          # dense operator bound (the test oracles' operators)
@@ -132,10 +132,7 @@ def gamma_diagonals(spec: ChainSpec) -> np.ndarray:
 def energies(spec: ChainSpec) -> np.ndarray:
     """Energies M - beta*B of all 2^N basis states by bitmask, bit-equal to energy_of:
     M = sum_i s_i and B = sum_bonds s_i s_j add multiples of 1/4, exact in any order."""
-    if spec.n_atoms > SPECTRUM_MAX_ATOMS:
-        raise ResourceLimitError(
-            f"spectrum enumeration capped at {SPECTRUM_MAX_ATOMS} atoms, "
-            f"got {spec.n_atoms}")
+    check_atom_cap("spectrum enumeration", spec.n_atoms, SPECTRUM_MAX_ATOMS)
     sz = _diagonal_sz(spec.n_atoms)
     bond_sum = np.zeros(spec.dim)
     for i, j in spec.bonds():
@@ -175,9 +172,7 @@ class SpinOperators:
 
 
 def build_operators(spec: ChainSpec) -> SpinOperators:
-    if spec.n_atoms > DENSE_MAX_ATOMS:
-        raise ResourceLimitError(
-            f"dense operators capped at {DENSE_MAX_ATOMS} atoms, got {spec.n_atoms}")
+    check_atom_cap("dense operators", spec.n_atoms, DENSE_MAX_ATOMS)
     n, dim = spec.n_atoms, spec.dim
     szd = _diagonal_sz(n)
     sz = [np.diag(szd[i]).astype(complex) for i in range(n)]

@@ -25,6 +25,13 @@ class TestParams:
         with pytest.raises(ValueError):
             CavityParams(n_photons=0, g=0.0, j_prime=0.5)
 
+    def test_zero_j_prime_has_one_rule(self):
+        p = CavityParams(n_photons=0, g=0.01, j_prime=0.0)
+        with pytest.raises(ValueError, match="needs j_prime > 0"):
+            p.two_photon_rabi
+        with pytest.raises(ValueError, match="needs j_prime > 0"):
+            strong_j_state(1.0, p)
+
 
 class TestExactBlock:
     def test_matches_matrix_exponential(self):

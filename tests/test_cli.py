@@ -9,8 +9,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import numpy as np
 import pytest
 
+from isingrelax.cavity import CavityParams, exact_state
 from isingrelax.cli import (FLOAT_FMT, OPTIONS, build_parser, main, parse_float_list,
                             parse_n_range, write_csv)
+from isingrelax.errors import sample_grid
+from isingrelax.meanfield import crossing
 from isingrelax.spin_core import DEGENERACY_TOL, BasisState, ChainSpec, energy_of
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -427,6 +430,36 @@ class TestConfigOverlay:
                     "--output", tmp_path / "x.csv"]) == 2
 
 
+class TestSweepTransition:
+    """sweep's meta.json holds N_c, the crossing of each beta's order parameter through 1."""
+
+    def sweep(self, tmp_path, *args):
+        out = tmp_path / "sw.csv"
+        assert run(["sweep", *args, "--output", out]) == 0
+        return read_rows(out), json.loads((tmp_path / "sw.csv.meta.json").read_text())
+
+    def test_n_c_is_crossing_of_each_beta_rows(self, tmp_path):
+        rows, meta = self.sweep(tmp_path, "--betas", "0,0.5", "--n-range", "24:40:8",
+                                "--theta0", 0.4)
+        want = {}
+        for beta in sorted({float(r["beta"]) for r in rows}):
+            mine = [r for r in rows if float(r["beta"]) == beta]
+            want[repr(beta)] = crossing([int(r["n"]) for r in mine],
+                                        [float(r["order_parameter"]) for r in mine])
+        assert meta["results"]["n_c"] == want
+        assert list(want) == ["0.0", "0.5"] and None not in want.values()
+
+    def test_n_c_null_without_a_rise_through_one(self, tmp_path):
+        rows, meta = self.sweep(tmp_path, "--betas", "0.5", "--n-range", "4:8")
+        assert max(float(r["order_parameter"]) for r in rows) < 1.0
+        assert meta["results"]["n_c"] == {"0.5": None}
+
+    def test_repeated_beta_has_one_key(self, tmp_path):
+        rows, meta = self.sweep(tmp_path, "--betas", "0.5,.5,0.50", "--n-range", "4:8")
+        assert len(rows) == 6
+        assert meta["results"]["n_c"] == {"0.5": None}
+
+
 class TestOtherCommands:
     def test_soliton_columns(self, tmp_path):
         out = tmp_path / "sol.csv"
@@ -445,6 +478,20 @@ class TestOtherCommands:
         res = meta["results"]
         assert res["rabi_extracted"] == pytest.approx(res["two_photon_rabi"],
                                                       rel=0.02)
+
+    def test_cavity_without_interaction_writes_exact_block_only(self, tmp_path):
+        out = tmp_path / "cav.csv"
+        assert run(["cavity", "--jprime", 0, "--horizon", 10, "--n-samples", 16,
+                    "--output", out]) == 0
+        times = sample_grid(10.0, 16)
+        state = exact_state(times, CavityParams(n_photons=0, g=0.01, j_prime=0.0))
+        pops = state.populations
+        expected = tmp_path / "expected.csv"
+        write_csv(str(expected), ["t", "p_uu", "p_mid", "p_dd", "norm"],
+                  [times, pops[:, 0], pops[:, 1] + pops[:, 2], pops[:, 3], state.norm])
+        assert out.read_bytes() == expected.read_bytes()
+        meta = json.loads((tmp_path / "cav.csv.meta.json").read_text())
+        assert sorted(meta["results"]) == ["p_dd_max_analytic", "rabi_splitting"]
 
     def test_geometry_table(self, tmp_path):
         gfile = tmp_path / "geom.json"

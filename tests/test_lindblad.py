@@ -1,3 +1,6 @@
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,8 +12,8 @@ from isingrelax.lindblad import (HERM_TOL, TRACE_TOL, LindbladParams, _Work,
                                  build_operators, excitation_sector, fully_inverted,
                                  generator, integrate, lindblad_rhs,
                                  observable_functional, order_parameter_exact,
-                                 rate_split, relaxation_rate, site_group, sum_sz,
-                                 two_atom_analytic)
+                                 rate_split, ratio_average, relaxation_rate, site_group,
+                                 sum_sz, two_atom_analytic)
 from isingrelax.spin_core import ChainSpec, site_bits
 
 
@@ -187,6 +190,51 @@ class TestRates:
         taus = np.linspace(0, 4, 30)
         traj = integrate(fully_inverted(2), p, taus)
         assert order_parameter_exact(traj, horizon=4.0).value > 0.0
+
+
+def order_parameter_by_masks(taus, gamma_coh, gamma_incoh, horizon):
+    """Oracle: the order_parameter_exact body written before the average was shared."""
+    mask = taus <= horizon + 1e-12
+    incoh = gamma_incoh[mask]
+    drop = incoh < 1e-14
+    excluded = int(np.count_nonzero(drop))
+    keep = ~drop
+    taus = taus[mask][keep]
+    if taus.size < 2:
+        return 0.0, excluded
+    ratios = gamma_coh[mask][keep] / incoh[keep]
+    span = taus[-1] - taus[0]
+    value = float(np.trapezoid(ratios, taus) / span) if span > 0 else 0.0
+    return value, excluded
+
+
+RATES = st.one_of(st.floats(-2.0, 2.0),
+                  st.sampled_from([0.0, -0.0, 1e-15, float(np.nextafter(1e-14, 0.0)), 1e-14,
+                                   -1e-14, 2e-14, math.nan]))
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_ratio_average_matches_oracle_bit_for_bit(data):
+    n = data.draw(st.integers(0, 12))
+    taus = np.sort(np.array(data.draw(st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n)),
+                            dtype=float))
+    coh, incoh = (np.array(data.draw(st.lists(RATES, min_size=n, max_size=n)), dtype=float)
+                  for _ in range(2))
+    horizon = data.draw(st.floats(0.0, 11.0))
+
+    def bits(value):
+        return np.float64(value).tobytes()
+
+    value, excluded = order_parameter_by_masks(taus, coh, incoh, horizon)
+    got = order_parameter_exact(SimpleNamespace(taus=taus, gamma_coh=coh, gamma_incoh=incoh),
+                                horizon)
+    assert (bits(got.value), got.excluded_samples) == (bits(value), excluded)
+
+    value, excluded = order_parameter_by_masks(taus, coh, incoh, math.inf)
+    with np.errstate(all="ignore"):
+        got = ratio_average(taus, coh / incoh, incoh)
+    assert (bits(got.value), got.excluded_samples) == (bits(value), excluded)
 
 
 CHAINS = [("nearest_neighbor", "cyclic"), ("nearest_neighbor", "open"),

@@ -7,8 +7,8 @@ from scipy.integrate import solve_ivp
 
 from isingrelax import meanfield
 from isingrelax.errors import ModelValidityError
-from isingrelax.lindblad import LindbladParams, two_atom_analytic
-from isingrelax.meanfield import (DENOM_FLOOR, BlochField, MFParams, coherent_pulse,
+from isingrelax.lindblad import RATIO_FLOOR as DENOM_FLOOR, LindbladParams, two_atom_analytic
+from isingrelax.meanfield import (BlochField, MFParams, coherent_pulse,
                                   collective_pulse, coupling_functions, crossing,
                                   gamma3_mean, gamma_at_half_deexcitation,
                                   initial_field, integrate_mf,

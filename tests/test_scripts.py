@@ -14,8 +14,6 @@ SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
      ["two_atom_beta0.1.csv"]),
     ("pulse_profiles.py", ["--n", "4", "--betas", "0.5", "--horizon", "2"],
      ["pulse_n4_beta0.5.csv"]),
-    ("coherence_transition.py", ["--betas", "0.5", "--n-grid", "4", "8"],
-     ["coherence_transition.csv"]),
     ("superradiant_gain.py", ["--n", "10", "--betas", "0.0", "0.3"],
      ["superradiant_gain.csv", "peak_scaling.csv"]),
 ])
