@@ -5,8 +5,8 @@ optional ``--config file.json`` overlay, and explicit flags (in that order of
 precedence), writes a CSV with a header row and 17-significant-digit floats,
 and echoes the fully resolved configuration to ``<output>.meta.json``.
 
-Exit codes: 0 success, 2 argument error, 3 resource or model-validity error,
-4 numerical failure.
+Exit codes: 0 success, 2 argument error, 3 resource or model-validity error
+(running out of memory included), 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -119,7 +119,8 @@ def cmd_lindblad(cfg: dict) -> None:
                {"max_trace_err": float(traj.trace_err.max()),
                 "max_herm_err": float(traj.herm_err.max()),
                 "n_rhs_evals": traj.n_rhs_evals},
-               {"n_rhs_evals": traj.n_rhs_evals,
+               {"exact_path": traj.path,
+                "n_rhs_evals": traj.n_rhs_evals,
                 "sector_size": traj.sector.size,
                 "group_order": traj.sector.group_order,
                 "orbit_count": traj.sector.n_orbits,
@@ -325,7 +326,7 @@ def main(argv=None) -> int:
     try:
         cfg = resolve_config(args)
         HANDLERS[args.command](cfg)
-    except (ModelValidityError, ResourceLimitError) as exc:
+    except (ModelValidityError, ResourceLimitError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (IntegrationError, ZeroDivisionError, FloatingPointError) as exc:

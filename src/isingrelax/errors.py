@@ -2,7 +2,8 @@
 and sample_grid.
 
 The CLI maps these onto exit codes: a ValueError exits 2 like an argparse error,
-ResourceLimitError / ModelValidityError exit 3, IntegrationError exit 4.
+ResourceLimitError / ModelValidityError exit 3 (as does MemoryError), IntegrationError
+exit 4.
 """
 
 import math

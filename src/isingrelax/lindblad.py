@@ -32,12 +32,23 @@ reduced vector; trace, Hermiticity and the lowest eigenvalue (one n_exc block
 expanded at a time) come from it too, and no dense rho is stored.
 
 The generator does not depend on time and the sample grid is uniform, so
-each sample is exp(L dtau) times the one before: one `expm_multiply` call
-(Al-Mohy and Higham, SIAM J. Sci. Comput. 33, 488 (2011)) propagates the
-orbits exactly over the grid, with no step-size control and no tolerance
-settings.  The dense `lindblad_rhs`, `relaxation_rate`, `rate_split` and
-`sum_sz`, on `spin_core.build_operators` (capped at DENSE_MAX_ATOMS = 8), are
-kept as test oracles for the generator and the functional.
+each sample is exp(L dtau) times the one before.  A sector of at most
+STEP_MAX_ORBITS orbits (96 at N = 6) builds that propagator once and steps the
+samples with it: the action of the exponential (Al-Mohy and Higham, SIAM J.
+Sci. Comput. 33, 488 (2011)) on the identity over dtau / 2^j, with
+j = ceil(log2(dtau ||L||_1)) or 0 when dtau ||L||_1 <= 1, squared j times
+(Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)).  A larger sector, the
+only kind at N = 7 to 10, where a dense propagator would cost more than it
+saves, goes to one `expm_multiply` call over the whole grid.  Either way the
+orbits propagate exactly, with no step-size control and no tolerance settings.
+`n_rhs_evals` counts the generator-vector products of the propagation, a
+product with a block of c columns as c; SciPy's 1-norm estimates multiply
+narrower blocks, which are not counted.  A sample whose trace or Hermiticity
+error exceeds TRACE_TOL or HERM_TOL raises IntegrationError.
+
+The dense `lindblad_rhs`, `relaxation_rate`, `rate_split` and `sum_sz`, on
+`spin_core.build_operators` (capped at DENSE_MAX_ATOMS = 8), are kept as test
+oracles for the generator and the functional.
 """
 
 from __future__ import annotations
@@ -49,7 +60,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, expm_multiply
 
-from .errors import check_atom_cap, check_born_markov, check_uniform_grid
+from .errors import IntegrationError, check_atom_cap, check_born_markov, check_uniform_grid
 from .spin_core import (ChainSpec, SpinOperators, build_operators, energies, gamma_diagonals,
                         site_bits)
 
@@ -57,6 +68,7 @@ TRACE_TOL = 1e-10
 HERM_TOL = 1e-12
 MIN_EIG_FLOOR = -1e-8
 EXACT_MAX_ATOMS = 10         # orbit-reduced exact propagation bound
+STEP_MAX_ORBITS = 128        # sectors up to this many orbits step with one propagator
 
 
 @dataclass(frozen=True)
@@ -236,7 +248,10 @@ class Trajectory:
 
     `reduced[:, k]` holds one value per orbit of the sector at `taus[k]`; `states`
     expands it to every sector entry and `rho(k)` to the dense matrix.
-    `n_rhs_evals` counts generator-vector products.
+    `n_rhs_evals` counts the generator-vector products of the propagation (a block
+    of c columns counts c; SciPy's 1-norm estimates are left out).  `path` is
+    "step" when one propagator stepped the samples (at most STEP_MAX_ORBITS
+    orbits) and "grid" when `expm_multiply` ran over the whole grid.
     """
 
     taus: np.ndarray
@@ -249,6 +264,7 @@ class Trajectory:
     herm_err: np.ndarray
     min_eig: np.ndarray
     n_rhs_evals: int = 0
+    path: str = "grid"
 
     @property
     def gamma_coh(self) -> np.ndarray:
@@ -388,7 +404,9 @@ def fully_inverted(n_atoms: int) -> np.ndarray:
 
 def integrate(rho0: np.ndarray, params: LindbladParams, tau_grid: np.ndarray) -> Trajectory:
     """rho0's excitation sector propagated exactly over the uniform tau_grid, one value
-    per orbit of `site_group`; `n_rhs_evals` counts the generator-vector products."""
+    per orbit of `site_group`; `n_rhs_evals` counts the generator-vector products.
+    Raises IntegrationError at the first sample whose trace or Hermiticity error
+    exceeds TRACE_TOL or HERM_TOL, or when the step path's dtau ||L||_1 overflows."""
     dim = params.spec.dim
     if rho0.shape != (dim, dim):
         raise ValueError(f"initial state must be {dim}x{dim}, got {rho0.shape}")
@@ -402,33 +420,65 @@ def integrate(rho0: np.ndarray, params: LindbladParams, tau_grid: np.ndarray) ->
     ops = _sparse_operators(params)
     gen = generator(params, sector, ops)
     adjoint = gen.conj().T
+    path = "step" if sector.n_orbits <= STEP_MAX_ORBITS else "grid"
+    start = np.identity(sector.n_orbits) if path == "step" else y0
     n_products = 0
 
-    def matvec(y):
+    def product(y):
+        # the propagation multiplies blocks as wide as its start; SciPy's 1-norm
+        # estimates use two-column blocks, which are not counted
         nonlocal n_products
-        n_products += 1
+        if y.shape[1:] == start.shape[1:]:
+            n_products += y.size // sector.n_orbits
         return gen @ y
 
     # expm_multiply picks its Taylor degree and step count from 1-norm estimates
-    # that use matmat and the adjoint (not counted) and draw from numpy's global
-    # RNG; a fixed draw keeps the output bytes independent of the caller's RNG
-    op = LinearOperator(gen.shape, matvec=matvec, matmat=gen.dot, rmatvec=adjoint.dot,
+    # that draw from numpy's global RNG; a fixed draw keeps the output bytes
+    # independent of the caller's RNG
+    op = LinearOperator(gen.shape, matvec=product, matmat=product, rmatvec=adjoint.dot,
                         rmatmat=adjoint.dot, dtype=complex)
+    trace = gen.diagonal().sum().real
+    span = tau_grid[-1] - tau_grid[0]
     caller_rng = np.random.get_state()
     np.random.seed(0)
     try:
-        reduced = expm_multiply(op, y0, start=0.0,
-                                stop=tau_grid[-1] - tau_grid[0], num=tau_grid.size,
-                                endpoint=True, traceA=gen.diagonal().sum().real).T
+        if path == "grid":
+            reduced = expm_multiply(op, y0, start=0.0, stop=span, num=tau_grid.size,
+                                    endpoint=True, traceA=trace).T
+        else:
+            # e^{L dtau} by scaling and squaring: the action on the identity over
+            # dtau / 2^j, with dtau * ||L||_1 / 2^j <= 1, squared j times; an overflow
+            # or NaN from a long interval is caught as inf here or by the trace check
+            dtau = span / (tau_grid.size - 1)
+            with np.errstate(over="ignore", invalid="ignore"):
+                scaled = dtau * abs(gen).sum(axis=0).max()
+                if not math.isfinite(scaled):
+                    raise IntegrationError(f"sample interval {dtau:.3g} times the "
+                                           f"generator's 1-norm overflows")
+                halvings = math.ceil(math.log2(scaled)) if scaled > 1 else 0
+                h = dtau / 2**halvings
+                step = expm_multiply(op * h, start, traceA=trace * h)
+                for _ in range(halvings):
+                    step = step @ step
+                reduced = np.empty((sector.n_orbits, tau_grid.size), dtype=complex)
+                reduced[:, 0] = y0
+                for k in range(1, tau_grid.size):
+                    reduced[:, k] = step @ reduced[:, k - 1]
     finally:
         np.random.set_state(caller_rng)
-    obs = np.real(reduced.T @ observable_functional(params, sector, ops))
     trace_err, herm_err = _trace_herm_err(sector, reduced)
+    lost = np.flatnonzero(~((trace_err <= TRACE_TOL) & (herm_err <= HERM_TOL)))
+    if lost.size:
+        k = lost[0]
+        raise IntegrationError(f"trace or Hermiticity lost at tau = {tau_grid[k]:.6g}: errors "
+                               f"{trace_err[k]:.3g} and {herm_err[k]:.3g} exceed {TRACE_TOL} "
+                               f"and {HERM_TOL}")
+    obs = np.real(reduced.T @ observable_functional(params, sector, ops))
     return Trajectory(
         taus=tau_grid.copy(), sector=sector, reduced=reduced,
         sum_sz=obs[:, 0], gamma=obs[:, 1], gamma_incoh=obs[:, 2],
         trace_err=trace_err, herm_err=herm_err,
-        min_eig=sector.min_eig(reduced), n_rhs_evals=n_products)
+        min_eig=sector.min_eig(reduced), n_rhs_evals=n_products, path=path)
 
 
 def relaxation_rate(rho: np.ndarray, params: LindbladParams,

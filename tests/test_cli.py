@@ -187,6 +187,21 @@ class TestLindbladCommand:
     def test_resource_cap_exits_3(self, tmp_path):
         assert run(["lindblad", "--n", 11, "--output", tmp_path / "x.csv"]) == 3
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("horizon,tau", [(1e6, "500000"), (1e20, "5e+19")])
+    def test_lost_trace_exits_4_with_one_line(self, tmp_path, capsys, horizon, tau):
+        # one step of 5e5 needs 23 squarings of the propagator, which leave a
+        # trace error above TRACE_TOL (one grid call was still running after 60 s);
+        # at 5e19 the squarings overflow to NaN without a warning
+        t0 = time.perf_counter()
+        assert run(["lindblad", "--n", 2, "--beta", 0.4, "--horizon", horizon,
+                    "--n-samples", 3, "--output", tmp_path / "x.csv"]) == 4
+        assert time.perf_counter() - t0 < 10.0
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
+        assert f"tau = {tau}:" in err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_eight_atoms_finish_in_bounded_time(self, tmp_path):
         # 2.2 s on a 2-vCPU host with one BLAS thread; the full dim^2 solve took 35 s
         out = tmp_path / "lb8.csv"
@@ -207,6 +222,7 @@ class TestLindbladCommand:
         diagnostics = json.loads(first[1])["diagnostics"]
         assert (diagnostics["group_order"], diagnostics["orbit_count"],
                 diagnostics["sector_size"]) == (12, 96, 924)
+        assert diagnostics["exact_path"] == "step"
         assert all(type(diagnostics[k]) is int for k in ("group_order", "orbit_count"))
         assert run(argv) == 0
         assert (out.read_bytes(), meta_path.read_bytes()) == first
@@ -221,7 +237,7 @@ class TestLindbladCommand:
         meta = json.loads(first[1])
         worst = min(float(r["min_eig"]) for r in read_rows(out))
         assert meta["diagnostics"] == {
-            "n_rhs_evals": meta["results"]["n_rhs_evals"], "sector_size": 70,
+            "exact_path": "step", "n_rhs_evals": meta["results"]["n_rhs_evals"], "sector_size": 70,
             "group_order": 8, "orbit_count": 15, "liouville_size": 256, "worst_min_eig": worst, "min_eig_floor": -1e-8,
             "min_eig_below_floor": True}
         assert worst < -1e-8
@@ -326,6 +342,15 @@ def test_readme_cli_examples_parse():
         build_parser().parse_args(shlex.split(line)[1:])
 
 
+@pytest.mark.parametrize("command", ["lindblad", "meanfield"])
+def test_sample_grid_beyond_memory_exits_3_with_one_line(tmp_path, capsys, command):
+    # 1e15 float64 samples are 7 PiB, past any 48-bit address space
+    assert run([command, "--n-samples", 10**15, "--output", tmp_path / "x.csv"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_geometry_missing_key_names_file_and_key(tmp_path, capsys):
     atoms = tmp_path / "atoms.json"
     atoms.write_text('{"dipole": [0, 0, 1]}')
@@ -383,12 +408,15 @@ class TestDeterminism:
         assert run(args + ["--output", b]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    @pytest.mark.parametrize("beta", [0.25, 0.9])
-    def test_lindblad_independent_of_global_rng(self, tmp_path, beta):
+    @pytest.mark.parametrize("n,beta", [pytest.param(6, 0.25, id="0.25"),
+                                        pytest.param(6, 0.9, id="0.9"),
+                                        pytest.param(7, 0.25, id="7-0.25")])
+    def test_lindblad_independent_of_global_rng(self, tmp_path, n, beta):
         # expm_multiply's norm estimates draw from numpy's global RNG; at
-        # beta = 0.9 some draws change its step choice
+        # beta = 0.9 some draws change its step choice.  N = 6 steps its 96
+        # orbits with one propagator, N = 7 propagates its 266 on the grid
         out = tmp_path / "lb.csv"
-        args = ["lindblad", "--n", 6, "--beta", beta, "--omega", 0.5, "--horizon", 5,
+        args = ["lindblad", "--n", n, "--beta", beta, "--omega", 0.5, "--horizon", 5,
                 "--n-samples", 100, "--output", out]
         runs = []
         for seed in (0, 1):
@@ -398,7 +426,9 @@ class TestDeterminism:
             assert np.array_equal(np.random.get_state()[1], state)
             runs.append((out.read_bytes(), (tmp_path / "lb.csv.meta.json").read_bytes()))
         assert runs[0] == runs[1]
-        assert json.loads(runs[0][1])["results"]["n_rhs_evals"] > 0
+        meta = json.loads(runs[0][1])
+        assert meta["results"]["n_rhs_evals"] > 0
+        assert meta["diagnostics"]["exact_path"] == ("step" if n == 6 else "grid")
 
     def test_sweep_byte_identical_and_sorted(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

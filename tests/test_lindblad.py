@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from isingrelax import lindblad
-from isingrelax.errors import ModelValidityError, ResourceLimitError
+from isingrelax.errors import IntegrationError, ModelValidityError, ResourceLimitError
 from isingrelax.lindblad import (HERM_TOL, TRACE_TOL, LindbladParams, _Work,
                                  build_operators, excitation_sector, fully_inverted,
                                  generator, integrate, lindblad_rhs,
@@ -462,6 +463,38 @@ class TestOrbits:
         assert traj.reduced.shape == (96, 7)
         assert traj.states.shape == (924, 7)
         assert np.array_equal(traj.states, traj.reduced[traj.sector.orbit])
+
+
+class TestPaths:
+    @pytest.mark.parametrize("n,chain,orbits", [(2, CHAINS[0], 4), (4, CHAINS[0], 15),
+                                                (6, CHAINS[0], 96), (4, CHAINS[1], 38)])
+    def test_step_matches_dense_exponential(self, n, chain, orbits):
+        p = chain_params(n, 0.35, chain, 0.5)
+        taus = np.linspace(0.0, 5.0, 100)
+        traj = integrate(fully_inverted(n), p, taus)
+        assert (traj.path, traj.sector.n_orbits) == ("step", orbits)
+        assert traj.n_rhs_evals > 0
+        gen = generator(p, traj.sector).toarray()
+        for k in (1, 37, 99):
+            want = expm(gen * taus[k]) @ traj.reduced[:, 0]
+            assert np.max(np.abs(traj.reduced[:, k] - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_sectors_past_the_cap_take_the_grid(self):
+        traj = integrate(fully_inverted(5), chain_params(5, 0.35, CHAINS[1], 0.5),
+                         np.linspace(0.0, 1.0, 5))
+        assert traj.sector.n_orbits == 132 > lindblad.STEP_MAX_ORBITS
+        assert traj.path == "grid" and traj.n_rhs_evals > 0
+
+    def test_many_steps_keep_trace_and_hermiticity(self):
+        traj = integrate(fully_inverted(6), chain_params(6, 0.4, CHAINS[0], 0.5),
+                         np.linspace(0.0, 50.0, 5001))
+        assert traj.path == "step"
+        assert traj.trace_err.max() <= TRACE_TOL and traj.herm_err.max() <= HERM_TOL
+
+    def test_overflowing_step_raises_integration_error(self):
+        with pytest.raises(IntegrationError, match="overflows"):
+            integrate(fully_inverted(2), chain_params(2, 0.35, CHAINS[0], 0.5),
+                      np.linspace(0.0, 1e308, 3))
 
 
 ORBIT_CASES = ([(n, chain, omega, start) for n in (2, 3, 4, 5, 6) for chain in CHAINS
